@@ -25,9 +25,11 @@ int main() {
       int runs = bench::BenchRuns();
       double total = 0.0;
       for (int i = 0; i < runs; ++i) {
-        auto result = engine->EvaluateOSharing(wq.query, strategies[s]);
-        URM_CHECK(result.ok()) << result.status().ToString();
-        total += result.ValueOrDie().TotalSeconds();
+        auto response = engine->Run(
+            core::Request::MethodEval(wq.query, core::Method::kOSharing)
+                .WithStrategy(strategies[s]));
+        URM_CHECK(response.ok()) << response.status().ToString();
+        total += response.ValueOrDie().evaluate.TotalSeconds();
       }
       times[s] = total / runs;
     }

@@ -30,11 +30,12 @@ int main() {
       size_t leaves = 0;
       bool early = false;
       for (int i = 0; i < runs; ++i) {
-        auto result = engine->EvaluateTopK(q.query, k);
-        URM_CHECK(result.ok()) << result.status().ToString();
-        total += result.ValueOrDie().seconds;
-        leaves = result.ValueOrDie().leaves_visited;
-        early = result.ValueOrDie().early_terminated;
+        auto response = engine->Run(core::Request::TopK(q.query, k));
+        URM_CHECK(response.ok()) << response.status().ToString();
+        const topk::TopKResult& result = response.ValueOrDie().top_k;
+        total += result.seconds;
+        leaves = result.leaves_visited;
+        early = result.early_terminated;
       }
       std::printf("%-6zu %-10.4f %-14zu %-8s\n", k, total / runs, leaves,
                   early ? "yes" : "no");

@@ -1,19 +1,14 @@
 /// \file bench_live_traffic.cc
 /// Serving under live updates: p99 latency and answer-cache hit rate
 /// of a repeating query wave while a background-style ingest trickle
-/// mutates ONE source relation, comparing the two invalidation arms:
-///
-///   delta_aware — a delta fences only cached answers whose source
-///                 footprint includes the touched relation;
-///   full_fence  — every delta drops the whole answer cache and
-///                 operator store (the pre-delta-protocol behavior).
-///
-/// The trickle targets `region`, which none of the workload queries
-/// read, so the delta-aware arm should keep serving hits at every
-/// update rate while the full-fence arm decays toward a 0% hit rate —
-/// that separation (and its latency cost) is what the JSONL records.
-/// Not a paper figure: the paper's catalogs are static; this measures
-/// the live-update subsystem the reproduction adds (docs/LIVE.md).
+/// mutates ONE source relation. Invalidation is delta-aware: a delta
+/// fences only cached answers whose source footprint includes the
+/// touched relation. The trickle targets `region`, which none of the
+/// workload queries read, so the wave should keep serving hits at
+/// every update rate — the JSONL records hit rate and latency per
+/// rate. Not a paper figure: the paper's catalogs are static; this
+/// measures the live-update subsystem the reproduction adds
+/// (docs/LIVE.md).
 ///
 /// Scale knobs: URM_BENCH_MB / URM_BENCH_H size the engine,
 /// URM_BENCH_LIVE_WAVES sets measured query waves per point (default
@@ -66,7 +61,7 @@ relational::DeltaBatch TrickleBatch(uint64_t serial) {
   return batch;
 }
 
-struct ArmResult {
+struct RateResult {
   double p99_ms = 0.0;
   double mean_ms = 0.0;
   double hit_rate = 0.0;
@@ -74,14 +69,13 @@ struct ArmResult {
 };
 
 /// Runs `waves` query waves with `rate` deltas applied between
-/// consecutive waves, on a fresh service configured for `delta_aware`.
-ArmResult RunArm(core::Engine* engine, bool delta_aware, int rate,
-                 int waves, const std::vector<core::Request>& wave,
-                 uint64_t* serial) {
+/// consecutive waves, on a fresh service.
+RateResult RunRate(core::Engine* engine, int rate, int waves,
+                   const std::vector<core::Request>& wave,
+                   uint64_t* serial) {
   service::ServiceOptions service_options;
   service_options.num_threads = 2;
   service_options.enable_metrics = false;
-  service_options.delta_aware_invalidation = delta_aware;
   service::QueryService service(engine, service_options);
   live::IngestOptions ingest_options;
   ingest_options.enable_metrics = false;
@@ -115,7 +109,7 @@ ArmResult RunArm(core::Engine* engine, bool delta_aware, int rate,
 
   std::sort(samples.begin(), samples.end());
   const service::CacheStats after = service.cache_stats();
-  ArmResult result;
+  RateResult result;
   result.p99_ms = samples[samples.size() * 99 / 100 == samples.size()
                               ? samples.size() - 1
                               : samples.size() * 99 / 100];
@@ -138,7 +132,7 @@ int main() {
   const unsigned hw = std::thread::hardware_concurrency();
 
   std::printf("# live traffic: query wave p99 / hit rate vs update "
-              "rate, delta-aware vs full-fence invalidation\n");
+              "rate under delta-aware invalidation\n");
   std::printf("# scale: |D|=%.1f MB, h=%d, waves=%d, hw_threads=%u\n",
               mb, h, waves, hw);
 
@@ -152,31 +146,27 @@ int main() {
               "'region' (read by no wave query)\n\n",
               wave.size());
 
-  std::printf("%-12s %8s %10s %10s %10s %10s\n", "arm", "rate",
-              "p99_ms", "mean_ms", "hit_rate", "fenced");
+  std::printf("%8s %10s %10s %10s %10s\n", "rate", "p99_ms", "mean_ms",
+              "hit_rate", "fenced");
   uint64_t serial = 0;
   for (const int rate : {0, 1, 4, 16}) {
-    for (const bool delta_aware : {true, false}) {
-      const char* arm = delta_aware ? "delta_aware" : "full_fence";
-      ArmResult result = RunArm(engine.ValueOrDie().get(), delta_aware,
-                                rate, waves, wave, &serial);
-      std::printf("%-12s %8d %10.3f %10.3f %9.1f%% %10zu\n", arm, rate,
-                  result.p99_ms, result.mean_ms, result.hit_rate * 100.0,
-                  result.fenced_answers);
-      bench::JsonLine("live_traffic")
-          .Field("arm", arm)
-          .Field("update_rate", rate)
-          .Field("waves", waves)
-          .Field("wave_size", wave.size())
-          .Field("p99_ms", result.p99_ms)
-          .Field("mean_ms", result.mean_ms)
-          .Field("hit_rate", result.hit_rate)
-          .Field("fenced_answers", result.fenced_answers)
-          .Field("mb", mb)
-          .Field("h", h)
-          .Field("hw_threads", static_cast<int>(hw))
-          .Emit();
-    }
+    RateResult result =
+        RunRate(engine.ValueOrDie().get(), rate, waves, wave, &serial);
+    std::printf("%8d %10.3f %10.3f %9.1f%% %10zu\n", rate, result.p99_ms,
+                result.mean_ms, result.hit_rate * 100.0,
+                result.fenced_answers);
+    bench::JsonLine("live_traffic")
+        .Field("update_rate", rate)
+        .Field("waves", waves)
+        .Field("wave_size", wave.size())
+        .Field("p99_ms", result.p99_ms)
+        .Field("mean_ms", result.mean_ms)
+        .Field("hit_rate", result.hit_rate)
+        .Field("fenced_answers", result.fenced_answers)
+        .Field("mb", mb)
+        .Field("h", h)
+        .Field("hw_threads", static_cast<int>(hw))
+        .Emit();
   }
   return 0;
 }

@@ -119,7 +119,7 @@ class BenchClient {
   std::string buffer_;
 };
 
-std::string QueryRequestBytes() {
+std::string PostQueryBytes() {
   std::string body =
       "{\"version\":1,\"query\":\"Q1\",\"method\":\"o-sharing\"}";
   return "POST /v1/query HTTP/1.1\r\nHost: bench\r\nContent-Length: " +
@@ -162,7 +162,7 @@ int main() {
   Status status = server.Start();
   URM_CHECK(status.ok()) << status.ToString();
   uint16_t port = server.port();
-  const std::string request_bytes = QueryRequestBytes();
+  const std::string request_bytes = PostQueryBytes();
 
   // Warm: first request evaluates and fills the answer cache.
   {

@@ -27,7 +27,7 @@ using namespace urm;  // NOLINT
 /// A batch of distinct (plan, method) work items over the Excel schema:
 /// Q1-Q5 plus the parametric families, crossed with the shareable
 /// methods.
-std::vector<service::QueryRequest> DistinctWorkload() {
+std::vector<core::Request> DistinctWorkload() {
   std::vector<algebra::PlanPtr> plans;
   for (const char* id : {"Q1", "Q2", "Q3", "Q4", "Q5"}) {
     plans.push_back(core::QueryById(id).query);
@@ -38,19 +38,19 @@ std::vector<service::QueryRequest> DistinctWorkload() {
   plans.push_back(core::SelfJoinQuery(1));
   plans.push_back(core::SelfJoinQuery(2));
 
-  std::vector<service::QueryRequest> requests;
+  std::vector<core::Request> requests;
   for (const auto& plan : plans) {
     for (core::Method method :
          {core::Method::kEBasic, core::Method::kQSharing,
           core::Method::kOSharing}) {
-      requests.push_back({plan, method});
+      requests.push_back(core::Request::MethodEval(plan, method));
     }
   }
   return requests;
 }
 
 double MeasureBatchSeconds(service::QueryService* service,
-                           const std::vector<service::QueryRequest>& batch) {
+                           const std::vector<core::Request>& batch) {
   Timer timer;
   auto responses = service->Submit(batch);
   double seconds = timer.Seconds();
@@ -116,7 +116,7 @@ int main() {
   auto engine = core::Engine::Create(options);
   URM_CHECK(engine.ok()) << engine.status().ToString();
 
-  std::vector<service::QueryRequest> batch = DistinctWorkload();
+  std::vector<core::Request> batch = DistinctWorkload();
   std::printf("# batch: %zu requests (all distinct plans/methods)\n\n",
               batch.size());
 

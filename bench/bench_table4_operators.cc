@@ -25,10 +25,13 @@ int main() {
     double total = 0.0;
     size_t ops = 0;
     for (int i = 0; i < runs; ++i) {
-      auto result = engine->EvaluateOSharing(q.query, strategy);
-      URM_CHECK(result.ok()) << result.status().ToString();
-      total += result.ValueOrDie().TotalSeconds();
-      ops = result.ValueOrDie().stats.operators_executed;
+      auto response = engine->Run(
+          core::Request::MethodEval(q.query, core::Method::kOSharing)
+              .WithStrategy(strategy));
+      URM_CHECK(response.ok()) << response.status().ToString();
+      const baselines::MethodResult& result = response.ValueOrDie().evaluate;
+      total += result.TotalSeconds();
+      ops = result.stats.operators_executed;
     }
     std::printf("%-10s %-12.4f %-18zu\n", osharing::StrategyName(strategy),
                 total / runs, ops);

@@ -77,10 +77,10 @@ inline baselines::MethodResult TimedEvaluate(const core::Engine& engine,
   double total = 0.0;
   baselines::MethodResult last;
   for (int i = 0; i < runs; ++i) {
-    auto result = engine.Evaluate(query, method);
-    URM_CHECK(result.ok()) << core::MethodName(method) << ": "
-                           << result.status().ToString();
-    last = std::move(result).ValueOrDie();
+    auto response = engine.Run(core::Request::MethodEval(query, method));
+    URM_CHECK(response.ok()) << core::MethodName(method) << ": "
+                             << response.status().ToString();
+    last = std::move(response.ValueOrDie().evaluate);
     total += last.TotalSeconds();
   }
   *mean_seconds = total / runs;

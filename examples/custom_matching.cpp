@@ -92,11 +92,13 @@ int main() {
                                            algebra::CmpOp::kEq, "123")),
       {"person.addr"});
   std::printf("\nq0 = π_addr σ_phone='123' Person\n");
-  auto result = engine->Evaluate(q, core::Method::kOSharing);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+  auto response =
+      engine->Run(core::Request::MethodEval(q, core::Method::kOSharing));
+  if (!response.ok()) {
+    std::fprintf(stderr, "%s\n", response.status().ToString().c_str());
     return 1;
   }
-  std::printf("%s", result.ValueOrDie().answers.ToString().c_str());
+  std::printf("%s",
+              response.ValueOrDie().evaluate.answers.ToString().c_str());
   return 0;
 }

@@ -42,20 +42,25 @@ int main() {
 
   // Evaluate under only the top mapping: a single world.
   engine.UseTopMappings(1);
-  auto single = engine.Evaluate(q.query, core::Method::kBasic);
+  auto single =
+      engine.Run(core::Request::MethodEval(q.query, core::Method::kBasic));
   if (!single.ok()) return 1;
+  const reformulation::AnswerSet& single_answers =
+      single.ValueOrDie().evaluate.answers;
   std::printf("answers using ONLY the best mapping:\n%s\n",
-              single.ValueOrDie().answers.ToString(5).c_str());
+              single_answers.ToString(5).c_str());
 
   // Evaluate under all 100 possible mappings.
   engine.UseTopMappings(100);
-  auto full = engine.Evaluate(q.query, core::Method::kOSharing);
+  auto full =
+      engine.Run(core::Request::MethodEval(q.query, core::Method::kOSharing));
   if (!full.ok()) return 1;
+  const reformulation::AnswerSet& full_answers =
+      full.ValueOrDie().evaluate.answers;
   std::printf("answers under the full uncertain matching:\n%s\n",
-              full.ValueOrDie().answers.ToString(5).c_str());
+              full_answers.ToString(5).c_str());
   std::printf("tuples missed by the single-mapping shortcut: %zu\n\n",
-              full.ValueOrDie().answers.size() -
-                  single.ValueOrDie().answers.size());
+              full_answers.size() - single_answers.size());
 
   // Method comparison on this query.
   std::printf("%-12s %-10s %-12s %-12s\n", "method", "time(s)",
@@ -63,12 +68,12 @@ int main() {
   for (core::Method m :
        {core::Method::kBasic, core::Method::kEBasic, core::Method::kEMqo,
         core::Method::kQSharing, core::Method::kOSharing}) {
-    auto r = engine.Evaluate(q.query, m);
-    if (!r.ok()) return 1;
+    auto response = engine.Run(core::Request::MethodEval(q.query, m));
+    if (!response.ok()) return 1;
+    const baselines::MethodResult& r = response.ValueOrDie().evaluate;
     std::printf("%-12s %-10.4f %-12zu %-12zu\n", core::MethodName(m),
-                r.ValueOrDie().TotalSeconds(),
-                r.ValueOrDie().source_queries,
-                r.ValueOrDie().stats.operators_executed);
+                r.TotalSeconds(), r.source_queries,
+                r.stats.operators_executed);
   }
   return 0;
 }

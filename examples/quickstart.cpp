@@ -41,19 +41,19 @@ int main() {
   std::printf("target query %s:\n%s\n", q.id.c_str(),
               algebra::ToString(q.query).c_str());
 
-  auto result =
-      engine.ValueOrDie()->Evaluate(q.query, core::Method::kOSharing);
-  if (!result.ok()) {
+  auto response = engine.ValueOrDie()->Run(
+      core::Request::MethodEval(q.query, core::Method::kOSharing));
+  if (!response.ok()) {
     std::fprintf(stderr, "query failed: %s\n",
-                 result.status().ToString().c_str());
+                 response.status().ToString().c_str());
     return 1;
   }
+  const baselines::MethodResult& result = response.ValueOrDie().evaluate;
   std::printf("answers (tuple, probability):\n%s\n",
-              result.ValueOrDie().answers.ToString(10).c_str());
+              result.answers.ToString(10).c_str());
   std::printf("executed %zu source operators over %zu mapping "
               "partitions in %.3fs\n",
-              result.ValueOrDie().stats.operators_executed,
-              result.ValueOrDie().partitions,
-              result.ValueOrDie().TotalSeconds());
+              result.stats.operators_executed, result.partitions,
+              result.TotalSeconds());
   return 0;
 }

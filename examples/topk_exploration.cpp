@@ -31,19 +31,20 @@ int main() {
               algebra::ToString(q.query).c_str());
 
   // Exhaustive evaluation for reference.
-  auto full = engine.Evaluate(q.query, core::Method::kOSharing);
+  auto full =
+      engine.Run(core::Request::MethodEval(q.query, core::Method::kOSharing));
   if (!full.ok()) return 1;
   std::printf("exhaustive o-sharing: %zu distinct answers in %.4fs\n\n",
-              full.ValueOrDie().answers.size(),
-              full.ValueOrDie().TotalSeconds());
+              full.ValueOrDie().evaluate.answers.size(),
+              full.ValueOrDie().evaluate.TotalSeconds());
 
   for (size_t k : {1, 3, 10}) {
-    auto result = engine.EvaluateTopK(q.query, k);
-    if (!result.ok()) {
-      std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+    auto response = engine.Run(core::Request::TopK(q.query, k));
+    if (!response.ok()) {
+      std::fprintf(stderr, "%s\n", response.status().ToString().c_str());
       return 1;
     }
-    const auto& r = result.ValueOrDie();
+    const topk::TopKResult& r = response.ValueOrDie().top_k;
     std::printf("top-%zu: %.4fs, %zu u-trace leaves visited%s\n", k,
                 r.seconds, r.leaves_visited,
                 r.early_terminated ? " (early termination)" : "");
@@ -60,18 +61,16 @@ int main() {
   // Threshold variant (library extension): everything above a
   // confidence bar, with the same bound-based pruning.
   for (double threshold : {0.5, 0.2}) {
-    auto result = engine.EvaluateThreshold(q.query, threshold);
-    if (!result.ok()) {
-      std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+    auto response = engine.Run(core::Request::Threshold(q.query, threshold));
+    if (!response.ok()) {
+      std::fprintf(stderr, "%s\n", response.status().ToString().c_str());
       return 1;
     }
+    const topk::ThresholdResult& r = response.ValueOrDie().threshold;
     std::printf("threshold %.2f: %zu qualifying tuples, %zu leaves "
                 "visited%s\n",
-                threshold, result.ValueOrDie().tuples.size(),
-                result.ValueOrDie().leaves_visited,
-                result.ValueOrDie().early_terminated
-                    ? " (early termination)"
-                    : "");
+                threshold, r.tuples.size(), r.leaves_visited,
+                r.early_terminated ? " (early termination)" : "");
   }
   return 0;
 }

@@ -2,9 +2,9 @@
 /// Command-line driver: run any Table III query (or a top-k /
 /// threshold variant) against a generated instance with any method.
 ///
-///   urm_cli [--query Q4] [--method osharing] [--schema excel]
-///           [--mb 1.0] [--h 100] [--topk K] [--threshold P]
-///           [--strategy sef|snf|random] [--seed N]
+///   urm_cli [--query Q4] [--method osharing] [--mb 1.0] [--h 100]
+///           [--topk K] [--threshold P] [--strategy sef|snf|random]
+///           [--seed N]
 ///
 /// Examples:
 ///   ./build/examples/urm_cli --query Q1 --method basic
@@ -16,6 +16,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/string_util.h"
 #include "core/engine.h"
 #include "core/workload.h"
 
@@ -26,7 +27,6 @@ using namespace urm;  // NOLINT
 struct CliArgs {
   std::string query = "Q4";
   std::string method = "osharing";
-  std::string schema;  // default: the query's schema
   std::string strategy = "sef";
   double mb = 1.0;
   int h = 100;
@@ -86,64 +86,82 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
   return true;
 }
 
-bool MethodFromName(const std::string& name, core::Method* out) {
-  if (name == "basic") *out = core::Method::kBasic;
-  else if (name == "ebasic") *out = core::Method::kEBasic;
-  else if (name == "emqo") *out = core::Method::kEMqo;
-  else if (name == "qsharing") *out = core::Method::kQSharing;
-  else if (name == "osharing") *out = core::Method::kOSharing;
-  else return false;
-  return true;
+bool ParseStrategy(const std::string& name, osharing::StrategyKind* out) {
+  for (auto kind : {osharing::StrategyKind::kSEF, osharing::StrategyKind::kSNF,
+                    osharing::StrategyKind::kRandom}) {
+    if (MatchesName(name, osharing::StrategyName(kind))) {
+      *out = kind;
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Prints `problem` (if any) and the usage line; returns exit code 2.
+int Usage(const std::string& problem = "") {
+  if (!problem.empty()) std::fprintf(stderr, "%s\n", problem.c_str());
+  std::fprintf(
+      stderr,
+      "usage: urm_cli [--query Q1..Q10] [--method "
+      "basic|ebasic|emqo|qsharing|osharing]\n"
+      "               [--mb MB] [--h N] [--topk K] [--threshold P]\n"
+      "               [--strategy sef|snf|random] [--seed N]\n");
+  return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   CliArgs args;
-  if (!ParseArgs(argc, argv, &args)) {
-    std::fprintf(
-        stderr,
-        "usage: urm_cli [--query Q1..Q10] [--method "
-        "basic|ebasic|emqo|qsharing|osharing]\n"
-        "               [--mb MB] [--h N] [--topk K] [--threshold P]\n"
-        "               [--strategy sef|snf|random] [--seed N]\n");
-    return 2;
+  if (!ParseArgs(argc, argv, &args)) return Usage();
+  // Every input is checked before the multi-second Engine::Create.
+  const core::WorkloadQuery* wq = core::FindQuery(args.query);
+  if (wq == nullptr) return Usage("unknown query: " + args.query);
+  core::Method method;
+  if (!core::ParseMethod(args.method, &method)) {
+    return Usage("unknown method: " + args.method);
   }
-
-  auto wq = core::QueryById(args.query);
   core::Engine::Options options;
+  if (!ParseStrategy(args.strategy, &options.strategy)) {
+    return Usage("unknown strategy: " + args.strategy);
+  }
+  const core::Request request =
+      args.topk > 0
+          ? core::Request::TopK(wq->query, static_cast<size_t>(args.topk))
+          : (args.threshold > 0
+                 ? core::Request::Threshold(wq->query, args.threshold)
+                 : core::Request::MethodEval(wq->query, method));
+  if (Status valid = core::ValidateRequest(request); !valid.ok()) {
+    return Usage(valid.message());
+  }
   options.target_mb = args.mb;
   options.num_mappings = args.h;
-  options.target_schema = wq.schema;
+  options.target_schema = wq->schema;
   options.seed = args.seed;
-  if (args.strategy == "snf") {
-    options.strategy = osharing::StrategyKind::kSNF;
-  } else if (args.strategy == "random") {
-    options.strategy = osharing::StrategyKind::kRandom;
-  }
 
-  auto engine = core::Engine::Create(options);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "setup: %s\n", engine.status().ToString().c_str());
+  auto created = core::Engine::Create(options);
+  if (!created.ok()) {
+    std::fprintf(stderr, "setup: %s\n", created.status().ToString().c_str());
     return 1;
   }
+  const core::Engine& engine = *created.ValueOrDie();
   std::printf("instance: %zu tuples; mappings: %zu; query %s (%s)\n",
-              engine.ValueOrDie()->catalog().TotalRows(),
-              engine.ValueOrDie()->mappings().size(), wq.id.c_str(),
-              datagen::TargetSchemaName(wq.schema));
+              engine.catalog().TotalRows(), engine.mappings().size(),
+              wq->id.c_str(), datagen::TargetSchemaName(wq->schema));
 
-  if (args.topk > 0) {
-    auto result = engine.ValueOrDie()->EvaluateTopK(
-        wq.query, static_cast<size_t>(args.topk));
-    if (!result.ok()) {
-      std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-      return 1;
-    }
+  auto run = engine.Run(request);
+  if (!run.ok()) {
+    std::fprintf(stderr, "%s\n", run.status().ToString().c_str());
+    return 1;
+  }
+  const core::Response& response = run.ValueOrDie();
+
+  if (request.kind == core::RequestKind::kTopK) {
+    const topk::TopKResult& result = response.top_k;
     std::printf("top-%d in %.4fs (%zu leaves%s):\n", args.topk,
-                result.ValueOrDie().seconds,
-                result.ValueOrDie().leaves_visited,
-                result.ValueOrDie().early_terminated ? ", early" : "");
-    for (const auto& t : result.ValueOrDie().tuples) {
+                result.seconds, result.leaves_visited,
+                result.early_terminated ? ", early" : "");
+    for (const auto& t : result.tuples) {
       std::printf("  (");
       for (size_t i = 0; i < t.values.size(); ++i) {
         std::printf("%s%s", i ? ", " : "",
@@ -154,32 +172,16 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (args.threshold > 0) {
-    auto result =
-        engine.ValueOrDie()->EvaluateThreshold(wq.query, args.threshold);
-    if (!result.ok()) {
-      std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-      return 1;
-    }
+  if (request.kind == core::RequestKind::kThreshold) {
+    const topk::ThresholdResult& result = response.threshold;
     std::printf("threshold %.2f: %zu tuples in %.4fs (%zu leaves%s)\n",
-                args.threshold, result.ValueOrDie().tuples.size(),
-                result.ValueOrDie().seconds,
-                result.ValueOrDie().leaves_visited,
-                result.ValueOrDie().early_terminated ? ", early" : "");
+                args.threshold, result.tuples.size(), result.seconds,
+                result.leaves_visited,
+                result.early_terminated ? ", early" : "");
     return 0;
   }
 
-  core::Method method;
-  if (!MethodFromName(args.method, &method)) {
-    std::fprintf(stderr, "unknown method: %s\n", args.method.c_str());
-    return 2;
-  }
-  auto result = engine.ValueOrDie()->Evaluate(wq.query, method);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
-  const auto& r = result.ValueOrDie();
+  const baselines::MethodResult& r = response.evaluate;
   std::printf("%s: %.4fs (rewrite %.4f, plan %.4f, eval %.4f, "
               "aggregate %.4f)\n",
               core::MethodName(method), r.TotalSeconds(),

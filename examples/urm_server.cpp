@@ -193,24 +193,6 @@ void WaitForSignal() {
   }
 }
 
-bool ParseMethod(const std::string& name, core::Method* method) {
-  if (name == "basic") *method = core::Method::kBasic;
-  else if (name == "ebasic" || name == "e-basic") *method = core::Method::kEBasic;
-  else if (name == "emqo" || name == "e-mqo") *method = core::Method::kEMqo;
-  else if (name == "qsharing" || name == "q-sharing") *method = core::Method::kQSharing;
-  else if (name == "osharing" || name == "o-sharing") *method = core::Method::kOSharing;
-  else return false;
-  return true;
-}
-
-bool ParseSetOp(const std::string& name, core::SetOpKind* kind) {
-  if (name == "union") *kind = core::SetOpKind::kUnion;
-  else if (name == "intersect") *kind = core::SetOpKind::kIntersect;
-  else if (name == "except") *kind = core::SetOpKind::kExcept;
-  else return false;
-  return true;
-}
-
 /// One engine + service per target schema, built on first use. Doubles
 /// as the HTTP tier's ServiceHub: with --http the server loop thread
 /// resolves schemas concurrently with the REPL thread, so every access
@@ -400,16 +382,13 @@ void PrintResponse(const std::string& label,
   }
 }
 
-/// Looks up a workload query id, reporting unknown ids.
-bool LookupQuery(const std::string& id, core::WorkloadQuery* out) {
-  for (const auto& wq : core::PaperWorkload()) {
-    if (wq.id == id) {
-      *out = wq;
-      return true;
-    }
+/// core::FindQuery, reporting unknown ids.
+const core::WorkloadQuery* FindQueryOrReport(const std::string& id) {
+  const core::WorkloadQuery* wq = core::FindQuery(id);
+  if (wq == nullptr) {
+    std::printf("unknown query '%s' (expected Q1..Q10)\n", id.c_str());
   }
-  std::printf("unknown query '%s' (expected Q1..Q10)\n", id.c_str());
-  return false;
+  return wq;
 }
 
 /// Parses "Q4", "Q4:osharing", "Q4:topk:5" or "Q4:threshold:0.2" into
@@ -421,16 +400,16 @@ bool ParseRequestToken(const std::string& token, core::Request* request,
   std::istringstream stream(token);
   while (std::getline(stream, part, ':')) parts.push_back(part);
   if (parts.empty()) return false;
-  core::WorkloadQuery wq;
-  if (!LookupQuery(parts[0], &wq)) return false;
-  *schema = wq.schema;
+  const core::WorkloadQuery* wq = FindQueryOrReport(parts[0]);
+  if (wq == nullptr) return false;
+  *schema = wq->schema;
   if (parts.size() == 1) {
-    *request = core::Request::MethodEval(wq.query, core::Method::kOSharing);
+    *request = core::Request::MethodEval(wq->query, core::Method::kOSharing);
     return true;
   }
   core::Method method;
-  if (ParseMethod(parts[1], &method)) {
-    *request = core::Request::MethodEval(wq.query, method);
+  if (core::ParseMethod(parts[1], &method)) {
+    *request = core::Request::MethodEval(wq->query, method);
     return true;
   }
   if (parts[1] == "topk" && parts.size() == 3) {
@@ -440,11 +419,11 @@ bool ParseRequestToken(const std::string& token, core::Request* request,
                   parts[2].c_str());
       return false;
     }
-    *request = core::Request::TopK(wq.query, static_cast<size_t>(k));
+    *request = core::Request::TopK(wq->query, static_cast<size_t>(k));
     return true;
   }
   if (parts[1] == "threshold" && parts.size() == 3) {
-    *request = core::Request::Threshold(wq.query,
+    *request = core::Request::Threshold(wq->query,
                                         std::atof(parts[2].c_str()));
     return true;
   }
@@ -574,21 +553,23 @@ void RunStream(ServiceDirectory* directory,
 void RunSetOp(ServiceDirectory* directory, const std::string& left_id,
               const std::string& op_name, const std::string& right_id) {
   core::SetOpKind kind;
-  if (!ParseSetOp(op_name, &kind)) {
+  if (!core::ParseSetOp(op_name, &kind)) {
     std::printf("unknown set op '%s' (union|intersect|except)\n",
                 op_name.c_str());
     return;
   }
-  core::WorkloadQuery left, right;
-  if (!LookupQuery(left_id, &left) || !LookupQuery(right_id, &right)) return;
-  if (left.schema != right.schema) {
+  const core::WorkloadQuery* left = FindQueryOrReport(left_id);
+  const core::WorkloadQuery* right =
+      left != nullptr ? FindQueryOrReport(right_id) : nullptr;
+  if (right == nullptr) return;
+  if (left->schema != right->schema) {
     std::printf("set-op operands must share a target schema\n");
     return;
   }
-  service::QueryService* service = directory->ForSchema(left.schema);
+  service::QueryService* service = directory->ForSchema(left->schema);
   if (service == nullptr) return;
   auto response =
-      service->Submit(core::Request::SetOp(left.query, right.query, kind));
+      service->Submit(core::Request::SetOp(left->query, right->query, kind));
   PrintResponse(left_id + " " + op_name + " " + right_id, response);
 }
 

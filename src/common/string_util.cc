@@ -80,4 +80,20 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
          s.substr(0, prefix.size()) == prefix;
 }
 
+bool MatchesName(std::string_view s, std::string_view name) {
+  auto matches = [&](bool skip_dashes) {
+    size_t i = 0;
+    for (char c : name) {
+      if (skip_dashes && c == '-') continue;
+      if (i == s.size() || std::tolower(static_cast<unsigned char>(s[i])) !=
+                               std::tolower(static_cast<unsigned char>(c))) {
+        return false;
+      }
+      ++i;
+    }
+    return i == s.size();
+  };
+  return matches(false) || matches(true);
+}
+
 }  // namespace urm

@@ -28,4 +28,9 @@ std::vector<std::string> TokenizeIdentifier(std::string_view ident);
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
 
+/// True if `s` spells `name` ignoring ASCII case, either as written or
+/// with every '-' of `name` left out: "o-sharing", "O-Sharing" and
+/// "osharing" all match "o-sharing".
+bool MatchesName(std::string_view s, std::string_view name);
+
 }  // namespace urm

@@ -515,48 +515,5 @@ Result<Response> Engine::RunSharded(const Request& request,
   return Status::Internal("unreachable");
 }
 
-Result<baselines::MethodResult> Engine::Evaluate(
-    const algebra::PlanPtr& query, Method method) const {
-  return Evaluate(query, method, EvalOptions());
-}
-
-Result<baselines::MethodResult> Engine::Evaluate(
-    const algebra::PlanPtr& query, Method method,
-    const EvalOptions& eval) const {
-  auto response = Run(Request::MethodEval(query, method), eval);
-  if (!response.ok()) return response.status();
-  return std::move(response.ValueOrDie().evaluate);
-}
-
-Result<baselines::MethodResult> Engine::EvaluateOSharing(
-    const algebra::PlanPtr& query, osharing::StrategyKind strategy) const {
-  auto response = Run(
-      Request::MethodEval(query, Method::kOSharing).WithStrategy(strategy));
-  if (!response.ok()) return response.status();
-  return std::move(response.ValueOrDie().evaluate);
-}
-
-Result<baselines::MethodResult> Engine::EvaluateSetOp(
-    const algebra::PlanPtr& left, const algebra::PlanPtr& right,
-    SetOpKind kind) const {
-  auto response = Run(Request::SetOp(left, right, kind));
-  if (!response.ok()) return response.status();
-  return std::move(response.ValueOrDie().evaluate);
-}
-
-Result<topk::TopKResult> Engine::EvaluateTopK(const algebra::PlanPtr& query,
-                                              size_t k) const {
-  auto response = Run(Request::TopK(query, k));
-  if (!response.ok()) return response.status();
-  return std::move(response.ValueOrDie().top_k);
-}
-
-Result<topk::ThresholdResult> Engine::EvaluateThreshold(
-    const algebra::PlanPtr& query, double threshold) const {
-  auto response = Run(Request::Threshold(query, threshold));
-  if (!response.ok()) return response.status();
-  return std::move(response.ValueOrDie().threshold);
-}
-
 }  // namespace core
 }  // namespace urm

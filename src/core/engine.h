@@ -43,27 +43,20 @@
 ///                                      urm::core::Method::kOSharing));
 ///   // response.ValueOrDie().evaluate.answers holds the AnswerSet.
 /// \endcode
-///
-/// Migration note: the per-kind entry points (Evaluate,
-/// EvaluateOSharing, EvaluateTopK, EvaluateSetOp, EvaluateThreshold)
-/// predate the Request API. They remain as thin wrappers over Run —
-/// same results, same costs — but new code should construct Requests:
-/// only Run offers streaming sinks, and only Requests flow through the
-/// service tier's fingerprint/dedup/cache machinery.
 
 namespace urm {
 namespace core {
 
 /// \brief One fully-prepared experiment configuration.
 ///
-/// Thread-safety: all const members (Run, Analyze, the legacy Evaluate*
-/// wrappers, the accessors) are safe to call concurrently — every
-/// evaluation pins an immutable snapshot of the active mapping set and
-/// of the catalog once at dispatch and never rereads either, so
-/// UseTopMappings / SetActiveMappings (mapping hot-reconfiguration)
-/// and ApplyDelta (row-level ingest) may run under traffic: in-flight
-/// evaluations complete against their pinned epoch, later dispatches
-/// see the new state. `mappings()` returns a reference into the
+/// Thread-safety: all const members (Run, Analyze, the accessors) are
+/// safe to call concurrently — every evaluation pins an immutable
+/// snapshot of the active mapping set and of the catalog once at
+/// dispatch and never rereads either, so UseTopMappings /
+/// SetActiveMappings (mapping hot-reconfiguration) and ApplyDelta
+/// (row-level ingest) may run under traffic: in-flight evaluations
+/// complete against their pinned epoch, later dispatches see the new
+/// state. `mappings()` returns a reference into the
 /// current snapshot — do not hold it across a reconfiguration.
 class Engine {
  public:
@@ -210,39 +203,6 @@ class Engine {
 
   /// Run with default EvalOptions (sequential, no streaming).
   Result<Response> Run(const Request& request) const;
-
-  // Legacy per-kind entry points. All are thin wrappers over Run with
-  // the matching Request factory — same results, same costs, same
-  // thread-safety (const, concurrent) — kept for source compatibility.
-  // New code should construct Requests (see the migration note above);
-  // only Run offers streaming sinks, sharding, and the service tier's
-  // fingerprint/dedup/cache machinery.
-
-  /// \deprecated Run(Request::MethodEval(query, method)).
-  Result<baselines::MethodResult> Evaluate(const algebra::PlanPtr& query,
-                                           Method method) const;
-
-  /// \deprecated Run(Request::MethodEval(query, method), eval).
-  Result<baselines::MethodResult> Evaluate(const algebra::PlanPtr& query,
-                                           Method method,
-                                           const EvalOptions& eval) const;
-
-  /// \deprecated Run(Request::MethodEval(...).WithStrategy(strategy)).
-  Result<baselines::MethodResult> EvaluateOSharing(
-      const algebra::PlanPtr& query, osharing::StrategyKind strategy) const;
-
-  /// \deprecated Run(Request::TopK(query, k)).
-  Result<topk::TopKResult> EvaluateTopK(const algebra::PlanPtr& query,
-                                        size_t k) const;
-
-  /// \deprecated Run(Request::SetOp(left, right, kind)).
-  Result<baselines::MethodResult> EvaluateSetOp(
-      const algebra::PlanPtr& left, const algebra::PlanPtr& right,
-      SetOpKind kind) const;
-
-  /// \deprecated Run(Request::Threshold(query, threshold)).
-  Result<topk::ThresholdResult> EvaluateThreshold(
-      const algebra::PlanPtr& query, double threshold) const;
 
   /// Average pairwise overlap of the current mapping set (Fig. 9).
   double MappingOverlapRatio() const {

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/string_util.h"
+
 namespace urm {
 namespace core {
 
@@ -19,6 +21,17 @@ const char* MethodName(Method method) {
       return "o-sharing";
   }
   return "?";
+}
+
+bool ParseMethod(std::string_view name, Method* out) {
+  for (Method method : {Method::kBasic, Method::kEBasic, Method::kEMqo,
+                        Method::kQSharing, Method::kOSharing}) {
+    if (MatchesName(name, MethodName(method))) {
+      *out = method;
+      return true;
+    }
+  }
+  return false;
 }
 
 const char* RequestKindName(RequestKind kind) {

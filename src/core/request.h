@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <optional>
+#include <string_view>
 
 #include "algebra/fingerprint.h"
 #include "algebra/plan.h"
@@ -43,6 +44,10 @@ enum class Method {
 };
 
 const char* MethodName(Method method);
+
+/// Parses a method name: its MethodName spelling in any case, or the
+/// same without dashes ("osharing", "emqo"). False on unknown names.
+bool ParseMethod(std::string_view name, Method* out);
 
 /// Discriminates the four query kinds of the unified API.
 enum class RequestKind {

@@ -5,6 +5,7 @@
 
 #include "algebra/evaluate.h"
 #include "algebra/optimize.h"
+#include "common/string_util.h"
 #include "common/timer.h"
 
 namespace urm {
@@ -26,6 +27,17 @@ const char* SetOpName(SetOpKind kind) {
       return "EXCEPT";
   }
   return "?";
+}
+
+bool ParseSetOp(std::string_view name, SetOpKind* out) {
+  for (SetOpKind kind :
+       {SetOpKind::kUnion, SetOpKind::kIntersect, SetOpKind::kExcept}) {
+    if (MatchesName(name, SetOpName(kind))) {
+      *out = kind;
+      return true;
+    }
+  }
+  return false;
 }
 
 namespace {

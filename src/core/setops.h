@@ -1,5 +1,6 @@
 #pragma once
 
+#include <string_view>
 #include <vector>
 
 #include "baselines/method_result.h"
@@ -31,6 +32,10 @@ enum class SetOpKind {
 };
 
 const char* SetOpName(SetOpKind kind);
+
+/// Parses a set-op name ("union", "INTERSECT", "Except": the SetOpName
+/// spelling in any case). False on unknown names.
+bool ParseSetOp(std::string_view name, SetOpKind* out);
 
 /// Evaluates `left OP right` over the mapping set. Fails when the two
 /// queries' output arities differ. A mapping that cannot answer a side

@@ -148,12 +148,19 @@ std::vector<WorkloadQuery> PaperWorkload() {
 
 WorkloadQuery DefaultQuery() { return QueryById("Q4"); }
 
-WorkloadQuery QueryById(const std::string& id) {
-  for (auto& q : PaperWorkload()) {
-    if (q.id == id) return q;
+const WorkloadQuery* FindQuery(const std::string& id) {
+  static const std::vector<WorkloadQuery>* workload =
+      new std::vector<WorkloadQuery>(PaperWorkload());
+  for (const WorkloadQuery& q : *workload) {
+    if (q.id == id) return &q;
   }
-  URM_CHECK(false) << "unknown workload query: " << id;
-  return {};
+  return nullptr;
+}
+
+WorkloadQuery QueryById(const std::string& id) {
+  const WorkloadQuery* q = FindQuery(id);
+  URM_CHECK(q != nullptr) << "unknown workload query: " << id;
+  return *q;
 }
 
 algebra::PlanPtr SelectionChainQuery(int num_selections) {

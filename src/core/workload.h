@@ -31,7 +31,12 @@ std::vector<WorkloadQuery> PaperWorkload();
 /// The paper's default query (Q4, Excel).
 WorkloadQuery DefaultQuery();
 
-/// Query by id ("Q1".."Q10"); check-fails on unknown ids.
+/// Query by id ("Q1".."Q10"), or nullptr for an unknown id. The
+/// workload is built once; the pointer stays valid for the process
+/// lifetime and its plans are immutable, safe to share across threads.
+const WorkloadQuery* FindQuery(const std::string& id);
+
+/// FindQuery that check-fails on unknown ids.
 WorkloadQuery QueryById(const std::string& id);
 
 /// Figure 11(d): a chain of `num_selections` (1..5) selections over

@@ -15,53 +15,11 @@ namespace api {
 
 namespace {
 
-/// The paper workload, resolved once: Q1..Q10 with their target
-/// schemas. Plans are immutable shared_ptrs, safe to hand to
-/// concurrent evaluations.
-const std::vector<core::WorkloadQuery>& Workload() {
-  static const std::vector<core::WorkloadQuery>* workload =
-      new std::vector<core::WorkloadQuery>(core::PaperWorkload());
-  return *workload;
-}
-
-const core::WorkloadQuery* FindQuery(const std::string& id) {
-  for (const core::WorkloadQuery& q : Workload()) {
-    if (q.id == id) return &q;
-  }
-  return nullptr;
-}
-
 bool Fail(ApiError* error, int http_status, std::string code,
           std::string message) {
   error->http_status = http_status;
   error->code = std::move(code);
   error->message = std::move(message);
-  return false;
-}
-
-bool ParseMethod(const std::string& name, core::Method* out) {
-  static const core::Method kAll[] = {
-      core::Method::kBasic, core::Method::kEBasic, core::Method::kEMqo,
-      core::Method::kQSharing, core::Method::kOSharing};
-  for (core::Method m : kAll) {
-    if (http::EqualsIgnoreCase(name, core::MethodName(m))) {
-      *out = m;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ParseSetOp(const std::string& name, core::SetOpKind* out) {
-  static const core::SetOpKind kAll[] = {core::SetOpKind::kUnion,
-                                         core::SetOpKind::kIntersect,
-                                         core::SetOpKind::kExcept};
-  for (core::SetOpKind op : kAll) {
-    if (http::EqualsIgnoreCase(name, core::SetOpName(op))) {
-      *out = op;
-      return true;
-    }
-  }
   return false;
 }
 
@@ -435,7 +393,7 @@ bool ParseQueryBody(const std::string& body, ParsedQuery* out,
     return Fail(error, 400, "missing_query",
                 "request must name a workload query, e.g. \"query\": \"Q4\"");
   }
-  const core::WorkloadQuery* query = FindQuery(*query_id);
+  const core::WorkloadQuery* query = core::FindQuery(*query_id);
   if (query == nullptr) {
     return Fail(error, 404, "unknown_query",
                 "unknown query '" + *query_id + "' (known: Q1..Q10)");
@@ -449,7 +407,7 @@ bool ParseQueryBody(const std::string& body, ParsedQuery* out,
   if (kind == "evaluate") {
     core::Method method = core::Method::kOSharing;
     if (const std::string* name = FindString(root, "method")) {
-      if (!ParseMethod(*name, &method)) {
+      if (!core::ParseMethod(*name, &method)) {
         return Fail(error, 400, "bad_method",
                     "unknown method '" + *name +
                         "' (one of: basic, e-basic, e-MQO, q-sharing, "
@@ -474,7 +432,7 @@ bool ParseQueryBody(const std::string& body, ParsedQuery* out,
       return Fail(error, 400, "missing_right",
                   "setop requires \"right\": a workload query id");
     }
-    const core::WorkloadQuery* right = FindQuery(*right_id);
+    const core::WorkloadQuery* right = core::FindQuery(*right_id);
     if (right == nullptr) {
       return Fail(error, 404, "unknown_query",
                   "unknown query '" + *right_id + "' (known: Q1..Q10)");
@@ -489,7 +447,7 @@ bool ParseQueryBody(const std::string& body, ParsedQuery* out,
     }
     core::SetOpKind op = core::SetOpKind::kUnion;
     if (const std::string* name = FindString(root, "set_op")) {
-      if (!ParseSetOp(*name, &op)) {
+      if (!core::ParseSetOp(*name, &op)) {
         return Fail(error, 400, "bad_set_op",
                     "unknown set_op '" + *name +
                         "' (one of: union, intersect, except)");

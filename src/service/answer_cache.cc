@@ -69,20 +69,6 @@ AnswerCache::Value AnswerCache::Get(const algebra::PlanFingerprint& key) {
   return it->second->value;
 }
 
-void AnswerCache::Put(const algebra::PlanFingerprint& key, Value value) {
-  if (options_.capacity_entries == 0 || value == nullptr) return;
-  size_t bytes = ApproxResponseBytes(*value);
-  std::lock_guard<std::mutex> lock(mu_);
-  PutLocked(key, std::move(value), bytes, {}, UINT64_MAX);
-}
-
-void AnswerCache::Put(const algebra::PlanFingerprint& key, Value value,
-                      uint64_t epoch) {
-  // Legacy callers carry no data provenance: UINT64_MAX marks the
-  // entry "never stale", so relation fences leave it alone.
-  Put(key, std::move(value), epoch, {}, UINT64_MAX);
-}
-
 void AnswerCache::Put(const algebra::PlanFingerprint& key, Value value,
                       uint64_t epoch, std::vector<uint64_t> sources,
                       uint64_t data_epoch) {
@@ -95,27 +81,6 @@ void AnswerCache::Put(const algebra::PlanFingerprint& key, Value value,
   if (StaleUnderChanges(sources, data_epoch)) {
     return;  // a source relation changed after this was computed
   }
-  PutLocked(key, std::move(value), bytes, std::move(sources), data_epoch);
-}
-
-bool AnswerCache::StaleUnderChanges(const std::vector<uint64_t>& sources,
-                                    uint64_t data_epoch) const {
-  if (data_epoch == UINT64_MAX) return false;  // outside the delta protocol
-  if (wildcard_change_epoch_ > data_epoch) return true;
-  if (sources.empty()) {
-    // Depends-on-everything: stale if ANY relation changed since.
-    return max_change_epoch_ > data_epoch;
-  }
-  for (uint64_t source : sources) {
-    auto it = changed_.find(source);
-    if (it != changed_.end() && it->second > data_epoch) return true;
-  }
-  return false;
-}
-
-void AnswerCache::PutLocked(const algebra::PlanFingerprint& key, Value value,
-                            size_t bytes, std::vector<uint64_t> sources,
-                            uint64_t data_epoch) {
   auto it = index_.find(key);
   if (it != index_.end()) {
     bytes_ += bytes - it->second->bytes;
@@ -139,6 +104,19 @@ void AnswerCache::PutLocked(const algebra::PlanFingerprint& key, Value value,
     DropOldest();
     stats_.evictions++;
   }
+}
+
+bool AnswerCache::StaleUnderChanges(const std::vector<uint64_t>& sources,
+                                    uint64_t data_epoch) const {
+  if (sources.empty()) {
+    // Depends-on-everything: stale if ANY relation changed since.
+    return max_change_epoch_ > data_epoch;
+  }
+  for (uint64_t source : sources) {
+    auto it = changed_.find(source);
+    if (it != changed_.end() && it->second > data_epoch) return true;
+  }
+  return false;
 }
 
 void AnswerCache::FenceEpoch(uint64_t epoch) {
@@ -172,28 +150,6 @@ size_t AnswerCache::FenceRelations(const std::vector<uint64_t>& changed,
   size_t fenced = 0;
   for (auto it = lru_.begin(); it != lru_.end();) {
     if (!StaleUnderChanges(it->sources, it->data_epoch)) {
-      ++it;
-      continue;
-    }
-    bytes_ -= it->bytes;
-    index_.erase(it->key);
-    it = lru_.erase(it);
-    ++fenced;
-  }
-  stats_.relation_fenced += fenced;
-  return fenced;
-}
-
-size_t AnswerCache::FenceAllRelations(uint64_t data_epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  wildcard_change_epoch_ = std::max(wildcard_change_epoch_, data_epoch);
-  max_change_epoch_ = std::max(max_change_epoch_, data_epoch);
-  size_t fenced = 0;
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    // Entries at data_epoch or newer were computed against the
-    // post-delta catalog (ApplyDelta bumps the epoch after the swap);
-    // UINT64_MAX entries are outside the delta protocol entirely.
-    if (it->data_epoch >= data_epoch) {
       ++it;
       continue;
     }

@@ -41,8 +41,7 @@ struct CacheStats {
   /// FenceEpoch calls that actually advanced the epoch and dropped
   /// entries (mapping-set reconfigurations observed by this cache).
   size_t epoch_fences = 0;
-  /// Entries dropped by FenceRelations / FenceAllRelations (catalog
-  /// delta invalidation).
+  /// Entries dropped by FenceRelations (catalog delta invalidation).
   size_t relation_fenced = 0;
   size_t entries = 0;
   size_t bytes = 0;        ///< current answer bytes held
@@ -79,23 +78,15 @@ class AnswerCache {
   Value Get(const algebra::PlanFingerprint& key);
 
   /// Inserts or refreshes `value`, evicting least-recently-used
-  /// entries while over the entry or byte budget.
-  void Put(const algebra::PlanFingerprint& key, Value value);
-
-  /// Like Put, but drops `value` when `epoch` no longer matches the
-  /// last fenced epoch: a response computed under a mapping set the
-  /// cache has fenced past must not repopulate it — its fingerprint is
-  /// unreachable by any current-epoch request, and no future fence of
-  /// the same epoch would ever drop it.
-  void Put(const algebra::PlanFingerprint& key, Value value, uint64_t epoch);
-
-  /// Delta-aware Put: additionally records which source relations the
-  /// response read (`sources`, sorted FNV-1a name hashes from
-  /// Engine::SourceFootprint; empty = depends on every relation) and
-  /// the catalog data epoch it was computed under. The value is
-  /// dropped when any of its sources — or, with empty sources, any
-  /// relation at all — changed after `data_epoch` (the response may
-  /// already be stale), mirroring the mapping-epoch check.
+  /// entries while over the entry or byte budget. `value` is dropped
+  /// instead when `epoch` no longer matches the last fenced mapping
+  /// epoch (a response computed under a mapping set the cache has
+  /// fenced past is unreachable by any current-epoch request, and no
+  /// future fence of the same epoch would ever drop it), or when any
+  /// of its `sources` — sorted FNV-1a name hashes from
+  /// Engine::SourceFootprint; empty = depends on every relation —
+  /// changed after `data_epoch`, the catalog data epoch it was
+  /// computed under (the response may already be stale).
   void Put(const algebra::PlanFingerprint& key, Value value, uint64_t epoch,
            std::vector<uint64_t> sources, uint64_t data_epoch);
 
@@ -117,12 +108,6 @@ class AnswerCache {
   size_t FenceRelations(const std::vector<uint64_t>& changed,
                         uint64_t data_epoch);
 
-  /// Full-fence fallback: every entry computed before `data_epoch` is
-  /// dropped regardless of its sources (and racing pre-delta Puts are
-  /// rejected via the recorded wildcard change). The control arm of
-  /// the delta-aware-vs-full-fence comparison.
-  size_t FenceAllRelations(uint64_t data_epoch);
-
   void Clear();
 
   size_t capacity() const { return options_.capacity_entries; }
@@ -138,20 +123,14 @@ class AnswerCache {
     size_t bytes = 0;
     Clock::time_point inserted;
     /// Source-relation name hashes (sorted) + catalog data epoch at
-    /// computation — the delta-aware invalidation keys. Entries from
-    /// the legacy Put carry {} / UINT64_MAX ("never stale"), keeping
-    /// standalone cache users outside the delta protocol untouched.
+    /// computation — the delta-aware invalidation keys.
     std::vector<uint64_t> sources;
-    uint64_t data_epoch = UINT64_MAX;
+    uint64_t data_epoch = 0;
   };
 
   bool Expired(const Entry& entry, Clock::time_point now) const;
   /// Unlinks lru_.back() from both structures (caller holds mu_).
   void DropOldest();
-  /// Insert/refresh + budget enforcement (caller holds mu_).
-  void PutLocked(const algebra::PlanFingerprint& key, Value value,
-                 size_t bytes, std::vector<uint64_t> sources,
-                 uint64_t data_epoch);
   /// Whether a response with these provenance marks is already stale
   /// under the recorded relation changes (caller holds mu_).
   bool StaleUnderChanges(const std::vector<uint64_t>& sources,
@@ -170,11 +149,10 @@ class AnswerCache {
   std::atomic<uint64_t> fenced_epoch_{0};
   /// Relation change log (guarded by mu_): relation name hash -> data
   /// epoch of its last observed change, plus the max over all of them
-  /// (for empty-source entries) and the wildcard epoch recorded by
-  /// full fences. Bounded by the catalog's relation count.
+  /// (for empty-source entries). Bounded by the catalog's relation
+  /// count.
   std::unordered_map<uint64_t, uint64_t> changed_;
   uint64_t max_change_epoch_ = 0;
-  uint64_t wildcard_change_epoch_ = 0;
   CacheStats stats_;
 };
 

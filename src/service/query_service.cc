@@ -165,21 +165,6 @@ class StorageStatsCache {
   relational::Catalog::StorageStats stats_;
 };
 
-}  // namespace
-
-namespace {
-
-/// Fills the convenience MethodResult view for the evaluate-shaped
-/// kinds: an aliasing pointer into the shared Response, no copy.
-void AttachLegacyResult(QueryResponse* response) {
-  if (response->response == nullptr) return;
-  if (response->response->kind == core::RequestKind::kEvaluate ||
-      response->response->kind == core::RequestKind::kSetOp) {
-    response->result = std::shared_ptr<const baselines::MethodResult>(
-        response->response, &response->response->evaluate);
-  }
-}
-
 /// Immediately-resolved future (cache hits, validation errors).
 std::future<QueryResponse> ReadyFuture(const QueryResponse& response) {
   std::promise<QueryResponse> promise;
@@ -500,11 +485,6 @@ algebra::PlanFingerprint QueryService::Fingerprint(
                    static_cast<size_t>(std::max(options_.mapping_shards, 1))));
 }
 
-algebra::PlanFingerprint QueryService::Fingerprint(
-    const QueryRequest& request) const {
-  return Fingerprint(core::Request::MethodEval(request.query, request.method));
-}
-
 std::future<QueryResponse> QueryService::SubmitAsync(
     const core::Request& request, core::AnswerSink* sink,
     CompletionCallback callback) {
@@ -549,7 +529,6 @@ std::future<QueryResponse> QueryService::Dispatch(
       response.fingerprint = fp;
       response.response = std::move(cached);
       response.cache_hit = true;
-      AttachLegacyResult(&response);
       if (metrics_ != nullptr) {
         metrics_->requests[static_cast<size_t>(request.kind)][kCacheHit]
             ->Increment();
@@ -597,7 +576,6 @@ std::future<QueryResponse> QueryService::Dispatch(
       response.fingerprint = fp;
       response.response = std::move(cached);
       response.cache_hit = true;
-      AttachLegacyResult(&response);
       if (metrics_ != nullptr) {
         metrics_->requests[static_cast<size_t>(request.kind)][kCacheHit]
             ->Increment();
@@ -716,7 +694,6 @@ void QueryService::RunWork(const std::shared_ptr<Work>& work) {
       row_scans_.fetch_add(stats.row_scans, std::memory_order_relaxed);
       base.response =
           std::make_shared<const core::Response>(std::move(evaluated));
-      AttachLegacyResult(&base);
     } else {
       base.status = result.status();
     }
@@ -783,27 +760,17 @@ FenceOutcome QueryService::FenceCatalogDelta(
     const relational::ApplyResult& delta) {
   FenceOutcome outcome;
   if (delta.relations.empty()) return outcome;
-  if (options_.delta_aware_invalidation) {
-    std::vector<uint64_t> changed;
-    changed.reserve(delta.relations.size());
-    for (const std::string& name : delta.relations) {
-      changed.push_back(Fnv1a(name));
-    }
-    outcome.answers = cache_.FenceRelations(changed, delta.data_epoch);
-    if (operator_store_ != nullptr) {
-      std::vector<const relational::Relation*> replaced;
-      replaced.reserve(delta.replaced.size());
-      for (const auto& rel : delta.replaced) replaced.push_back(rel.get());
-      outcome.operators = operator_store_->FenceRelations(replaced);
-    }
-    return outcome;
+  std::vector<uint64_t> changed;
+  changed.reserve(delta.relations.size());
+  for (const std::string& name : delta.relations) {
+    changed.push_back(Fnv1a(name));
   }
-  // Full fence: everything computed before this delta goes, touched or
-  // not — the conservative control arm.
-  outcome.answers = cache_.FenceAllRelations(delta.data_epoch);
+  outcome.answers = cache_.FenceRelations(changed, delta.data_epoch);
   if (operator_store_ != nullptr) {
-    outcome.operators = operator_store_->stats().entries;
-    operator_store_->Clear();
+    std::vector<const relational::Relation*> replaced;
+    replaced.reserve(delta.replaced.size());
+    for (const auto& rel : delta.replaced) replaced.push_back(rel.get());
+    outcome.operators = operator_store_->FenceRelations(replaced);
   }
   return outcome;
 }
@@ -866,21 +833,6 @@ std::vector<QueryResponse> QueryService::Submit(
     responses[i].shared_in_batch = !responses[i].cache_hit;
   }
   return responses;
-}
-
-std::vector<QueryResponse> QueryService::Submit(
-    const std::vector<QueryRequest>& batch) {
-  std::vector<core::Request> requests;
-  requests.reserve(batch.size());
-  for (const QueryRequest& request : batch) {
-    requests.push_back(
-        core::Request::MethodEval(request.query, request.method));
-  }
-  return Submit(requests);
-}
-
-QueryResponse QueryService::SubmitOne(const QueryRequest& request) {
-  return Submit(std::vector<QueryRequest>{request}).front();
 }
 
 }  // namespace service

@@ -53,13 +53,6 @@
 ///   auto f = svc.SubmitAsync(urm::core::Request::TopK(q.query, 5));
 ///   f.get().response->top_k.tuples;
 /// \endcode
-///
-/// Migration note: the {plan, method} QueryRequest batch API predates
-/// the unified envelope. Submit(std::vector<QueryRequest>) and
-/// SubmitOne remain as thin wrappers that convert to
-/// core::Request::MethodEval — identical semantics — but new code
-/// should submit core::Requests: only they cover top-k / set-op /
-/// threshold, futures, callbacks, and streaming sinks.
 
 namespace urm {
 namespace service {
@@ -106,14 +99,6 @@ struct ServiceOptions {
   size_t operator_store_bytes = 256ull << 20;
   /// Operator-store concurrency shards (rounded up to a power of two).
   size_t operator_store_shards = 16;
-  /// How FenceCatalogDelta invalidates after a Catalog::ApplyDelta:
-  /// true (default) fences only the answer-cache / operator-store
-  /// entries whose source relations the delta touched, so an update
-  /// trickle against one relation does not zero the hit rate for
-  /// queries over the others; false falls back to fencing everything
-  /// (the conservative control arm bench_live_traffic compares
-  /// against).
-  bool delta_aware_invalidation = true;
   /// Report serving-tier metrics — per-kind latency histograms,
   /// request outcomes, in-flight gauge, dedup joins, shard timing, and
   /// collect-time bridges for the cache / operator-store / pool stats
@@ -129,22 +114,12 @@ struct ServiceOptions {
   obs::Labels metric_labels;
 };
 
-/// One query of a legacy batch (method evaluations only).
-/// \deprecated Build core::Request envelopes instead.
-struct QueryRequest {
-  algebra::PlanPtr query;
-  core::Method method = core::Method::kOSharing;
-};
-
 /// Outcome for one request.
 struct QueryResponse {
   Status status;  ///< per-request; response is null unless ok
   algebra::PlanFingerprint fingerprint;
   /// The kind-tagged result envelope (see core::Response).
   std::shared_ptr<const core::Response> response;
-  /// Convenience view of response->evaluate for the kEvaluate/kSetOp
-  /// kinds (null otherwise); aliases `response`, no copy.
-  std::shared_ptr<const baselines::MethodResult> result;
   /// Served from the answer cache (a previous submission).
   bool cache_hit = false;
   /// Shared an identical evaluation — earlier in the same batch, or
@@ -224,20 +199,9 @@ class QueryService {
   /// QueryResponse::status without failing the batch.
   std::vector<QueryResponse> Submit(const std::vector<core::Request>& batch);
 
-  /// Legacy batch entry point (method evaluations only).
-  /// \deprecated Converts to core::Request::MethodEval and forwards.
-  std::vector<QueryResponse> Submit(const std::vector<QueryRequest>& batch);
-
-  /// Legacy single-request convenience wrapper.
-  /// \deprecated Use Submit(const core::Request&).
-  QueryResponse SubmitOne(const QueryRequest& request);
-
   /// Fingerprint a request exactly as Submit would: the full request
   /// envelope plus the engine's memoized mapping-set hash as context.
   algebra::PlanFingerprint Fingerprint(const core::Request& request) const;
-
-  /// \deprecated Legacy overload; converts to core::Request::MethodEval.
-  algebra::PlanFingerprint Fingerprint(const QueryRequest& request) const;
 
   /// Scan-byte accounting aggregated from every completed evaluation
   /// (the EvalStats storage counters of all four request kinds):
@@ -261,13 +225,12 @@ class QueryService {
   }
 
   /// Invalidates cached state made stale by a catalog delta the
-  /// caller just applied (engine()->ApplyDelta). With
-  /// delta_aware_invalidation on, only answer-cache entries whose
-  /// source footprint intersects the delta's relations and
-  /// operator-store entries keyed on the replaced relation pointers
-  /// are dropped; otherwise both stores are fully fenced. Racing Puts
-  /// of pre-delta responses are rejected either way (the cache records
-  /// the change epochs). Returns how many entries each store dropped.
+  /// caller just applied (engine()->ApplyDelta): only answer-cache
+  /// entries whose source footprint intersects the delta's relations
+  /// and operator-store entries keyed on the replaced relation
+  /// pointers are dropped. Racing Puts of pre-delta responses are
+  /// rejected (the cache records the change epochs). Returns how many
+  /// entries each store dropped.
   FenceOutcome FenceCatalogDelta(const relational::ApplyResult& delta);
 
   CacheStats cache_stats() const { return cache_.stats(); }

@@ -248,9 +248,10 @@ TEST_F(EdgeTest, EngineFromPartsEvaluates) {
       MakeSelect(MakeScan("Person", "person"),
                  Predicate::AttrCmpValue("person.phone", CmpOp::kEq, "123")),
       {"person.addr"});
-  auto result = engine->Evaluate(q, core::Method::kOSharing);
+  auto result =
+      engine->Run(core::Request::MethodEval(q, core::Method::kOSharing));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result.ValueOrDie().answers.size(), 2u);  // aaa, hk
+  EXPECT_EQ(result.ValueOrDie().evaluate.answers.size(), 2u);  // aaa, hk
 }
 
 TEST_F(EdgeTest, AnalyzeRejectsRelationLeafInTargetQuery) {

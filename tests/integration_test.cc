@@ -61,10 +61,10 @@ class WorkloadConsistency
 TEST_P(WorkloadConsistency, AllMethodsReturnIdenticalAnswers) {
   const WorkloadQuery& wq = GetParam();
   Engine* engine = SharedEngine(wq.schema);
-  auto reference = engine->Evaluate(wq.query, Method::kBasic);
+  auto reference = engine->Run(Request::MethodEval(wq.query, Method::kBasic));
   ASSERT_TRUE(reference.ok()) << wq.id << ": "
                               << reference.status().ToString();
-  const auto& expected = reference.ValueOrDie().answers;
+  const auto& expected = reference.ValueOrDie().evaluate.answers;
   // Every mapping contributes at least one tuple or the θ outcome, so
   // the per-tuple marginals plus P(θ) total at least 1 (more when a
   // mapping yields several tuples).
@@ -72,14 +72,15 @@ TEST_P(WorkloadConsistency, AllMethodsReturnIdenticalAnswers) {
 
   for (Method method : {Method::kEBasic, Method::kEMqo, Method::kQSharing,
                         Method::kOSharing}) {
-    auto result = engine->Evaluate(wq.query, method);
+    auto result = engine->Run(Request::MethodEval(wq.query, method));
     ASSERT_TRUE(result.ok())
         << wq.id << " " << MethodName(method) << ": "
         << result.status().ToString();
-    EXPECT_TRUE(expected.ApproxEquals(result.ValueOrDie().answers, 1e-6))
+    const auto& answers = result.ValueOrDie().evaluate.answers;
+    EXPECT_TRUE(expected.ApproxEquals(answers, 1e-6))
         << wq.id << " " << MethodName(method) << "\nbasic:\n"
         << expected.ToString() << "\nother:\n"
-        << result.ValueOrDie().answers.ToString();
+        << answers.ToString();
   }
 }
 
@@ -94,22 +95,22 @@ TEST(WorkloadTest, ParametricQueriesConsistent) {
   Engine* engine = SharedEngine(datagen::TargetSchemaId::kExcel);
   for (int n = 1; n <= 5; ++n) {
     auto q = SelectionChainQuery(n);
-    auto basic = engine->Evaluate(q, Method::kBasic);
-    auto osharing = engine->Evaluate(q, Method::kOSharing);
+    auto basic = engine->Run(Request::MethodEval(q, Method::kBasic));
+    auto osharing = engine->Run(Request::MethodEval(q, Method::kOSharing));
     ASSERT_TRUE(basic.ok() && osharing.ok())
         << n << ": " << osharing.status().ToString();
-    EXPECT_TRUE(basic.ValueOrDie().answers.ApproxEquals(
-        osharing.ValueOrDie().answers, 1e-6))
+    EXPECT_TRUE(basic.ValueOrDie().evaluate.answers.ApproxEquals(
+        osharing.ValueOrDie().evaluate.answers, 1e-6))
         << "selection chain n=" << n;
   }
   for (int n = 1; n <= 2; ++n) {
     auto q = SelfJoinQuery(n);
-    auto basic = engine->Evaluate(q, Method::kBasic);
-    auto osharing = engine->Evaluate(q, Method::kOSharing);
+    auto basic = engine->Run(Request::MethodEval(q, Method::kBasic));
+    auto osharing = engine->Run(Request::MethodEval(q, Method::kOSharing));
     ASSERT_TRUE(basic.ok() && osharing.ok())
         << n << ": " << osharing.status().ToString();
-    EXPECT_TRUE(basic.ValueOrDie().answers.ApproxEquals(
-        osharing.ValueOrDie().answers, 1e-6))
+    EXPECT_TRUE(basic.ValueOrDie().evaluate.answers.ApproxEquals(
+        osharing.ValueOrDie().evaluate.answers, 1e-6))
         << "self join n=" << n;
   }
 }
@@ -117,12 +118,12 @@ TEST(WorkloadTest, ParametricQueriesConsistent) {
 TEST(WorkloadTest, TopKAgreesWithExhaustiveOnQ4) {
   Engine* engine = SharedEngine(datagen::TargetSchemaId::kExcel);
   auto q = QueryById("Q4");
-  auto full = engine->Evaluate(q.query, Method::kOSharing);
+  auto full = engine->Run(Request::MethodEval(q.query, Method::kOSharing));
   ASSERT_TRUE(full.ok()) << full.status().ToString();
-  auto expected = full.ValueOrDie().answers.TopK(5);
-  auto topk = engine->EvaluateTopK(q.query, 5);
+  auto expected = full.ValueOrDie().evaluate.answers.TopK(5);
+  auto topk = engine->Run(Request::TopK(q.query, 5));
   ASSERT_TRUE(topk.ok()) << topk.status().ToString();
-  const auto& got = topk.ValueOrDie().tuples;
+  const auto& got = topk.ValueOrDie().top_k.tuples;
   ASSERT_LE(got.size(), 5u);
   ASSERT_EQ(got.size(), std::min<size_t>(5, expected.size()));
   for (size_t i = 0; i < got.size(); ++i) {

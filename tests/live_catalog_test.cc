@@ -13,8 +13,8 @@
 ///    S ∈ {1, 4} mapping shards;
 ///  * **delta-aware fencing** — a delta fences exactly the cached
 ///    answers whose source relations it touched: entries over
-///    untouched relations keep serving hits (the full-fence control
-///    arm drops them), and a fenced entry is never served again;
+///    untouched relations keep serving hits, and a fenced entry is
+///    never served again;
 ///  * **batch encoding** — a delta batch (and the batched AddRows
 ///    fixture path) re-encodes each touched relation's columnar
 ///    backing exactly once, never once per row.
@@ -497,33 +497,6 @@ TEST_F(LiveCatalogTest, DeltaFencesOnlyTouchedSourceRelations) {
   ExpectResponsesBitIdentical(*refreshed.response, fresh.ValueOrDie());
   EXPECT_EQ(controller.stats().batches, 2u);
   EXPECT_EQ(controller.stats().data_epoch, 2u);
-}
-
-TEST_F(LiveCatalogTest, FullFenceControlArmDropsUntouchedEntries) {
-  auto engine = MakeEngine(CatalogFrom(InitialShadow(), true),
-                           DyadicMappings());
-  service::ServiceOptions service_options;
-  service_options.num_threads = 2;
-  service_options.enable_metrics = false;
-  service_options.delta_aware_invalidation = false;
-  service::QueryService service(engine.get(), service_options);
-  IngestOptions ingest_options;
-  ingest_options.enable_metrics = false;
-  IngestController controller(engine.get(), &service, ingest_options);
-
-  auto customer_only =
-      core::Request::MethodEval(PhoneByAddr("aaa"), core::Method::kOSharing);
-  ASSERT_FALSE(service.Submit(customer_only).cache_hit);
-  EXPECT_TRUE(service.Submit(customer_only).cache_hit);
-
-  // Under full-fence, even an untouched-relation delta drops the entry.
-  DeltaBatch nation_batch;
-  nation_batch.ops.push_back(
-      DeltaOp{DeltaOpKind::kInsert, "nation", {"n8", "Norway"}, {}});
-  auto report = controller.Apply(nation_batch);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.ValueOrDie().fenced_answers, 1u);
-  EXPECT_FALSE(service.Submit(customer_only).cache_hit);
 }
 
 TEST_F(LiveCatalogTest, ApplyRejectsMalformedBatchesAtomically) {

@@ -432,9 +432,9 @@ TEST(OperatorStoreServiceTest, ConcurrentQueriesShareStoreWithCorrectResults) {
   // Reference answers from plain engine runs (no store involved).
   std::vector<reformulation::AnswerSet> expected;
   for (const auto& request : distinct) {
-    auto direct = engine->Evaluate(request.query, core::Method::kOSharing);
+    auto direct = engine->Run(request);
     ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-    expected.push_back(direct.ValueOrDie().answers);
+    expected.push_back(direct.ValueOrDie().evaluate.answers);
   }
 
   // Two concurrent waves: every query of wave two repeats wave one
@@ -447,11 +447,12 @@ TEST(OperatorStoreServiceTest, ConcurrentQueriesShareStoreWithCorrectResults) {
     for (size_t i = 0; i < futures.size(); ++i) {
       auto response = futures[i].get();
       ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-      ASSERT_NE(response.result, nullptr);
-      EXPECT_TRUE(expected[i].ApproxEquals(response.result->answers))
+      ASSERT_NE(response.response, nullptr);
+      const auto& answers = response.response->evaluate.answers;
+      EXPECT_TRUE(expected[i].ApproxEquals(answers))
           << "wave " << wave << " request " << i << "\nexpected:\n"
           << expected[i].ToString() << "got:\n"
-          << response.result->answers.ToString();
+          << answers.ToString();
     }
   }
 
@@ -482,10 +483,10 @@ TEST(OperatorStoreServiceTest, StoreSurvivesReconfigurationFence) {
   ASSERT_TRUE(after.status.ok()) << after.status.ToString();
   // The fence dropped pre-reconfiguration materializations, and the
   // answers still match a plain evaluation of the reconfigured engine.
-  auto direct = engine->Evaluate(request.query, core::Method::kOSharing);
+  auto direct = engine->Run(request);
   ASSERT_TRUE(direct.ok());
-  EXPECT_TRUE(direct.ValueOrDie().answers.ApproxEquals(
-      after.result->answers));
+  EXPECT_TRUE(direct.ValueOrDie().evaluate.answers.ApproxEquals(
+      after.response->evaluate.answers));
 }
 
 }  // namespace

@@ -110,59 +110,59 @@ class OneShotSink : public AnswerSink {
   size_t answers_ = 0;
 };
 
-TEST(RequestDispatchTest, RunMatchesLegacyEntryPointsForAllKinds) {
+TEST(RequestDispatchTest, RunAnswersEveryKindConsistently) {
   Engine* engine = SharedEngine(datagen::TargetSchemaId::kExcel);
   const auto q4 = QueryById("Q4").query;
 
-  // Method evaluation, every method.
+  // Method evaluation: every method agrees with basic.
+  auto basic = engine->Run(Request::MethodEval(q4, Method::kBasic));
+  ASSERT_TRUE(basic.ok()) << basic.status().ToString();
+  const auto& expected = basic.ValueOrDie().evaluate.answers;
   for (Method method : {Method::kBasic, Method::kEBasic, Method::kEMqo,
                         Method::kQSharing, Method::kOSharing}) {
-    auto legacy = engine->Evaluate(q4, method);
-    auto unified = engine->Run(Request::MethodEval(q4, method));
-    ASSERT_TRUE(legacy.ok() && unified.ok()) << MethodName(method);
-    EXPECT_EQ(unified.ValueOrDie().kind, RequestKind::kEvaluate);
-    EXPECT_TRUE(legacy.ValueOrDie().answers.ApproxEquals(
-        unified.ValueOrDie().evaluate.answers, 1e-12));
+    auto response = engine->Run(Request::MethodEval(q4, method));
+    ASSERT_TRUE(response.ok()) << MethodName(method);
+    EXPECT_EQ(response.ValueOrDie().kind, RequestKind::kEvaluate);
+    EXPECT_TRUE(expected.ApproxEquals(response.ValueOrDie().evaluate.answers,
+                                      1e-9))
+        << MethodName(method);
   }
 
-  // o-sharing with an explicit strategy.
-  auto legacy_snf =
-      engine->EvaluateOSharing(q4, osharing::StrategyKind::kSNF);
-  auto unified_snf = engine->Run(
-      Request::MethodEval(q4, Method::kOSharing)
-          .WithStrategy(osharing::StrategyKind::kSNF));
-  ASSERT_TRUE(legacy_snf.ok() && unified_snf.ok());
-  EXPECT_TRUE(legacy_snf.ValueOrDie().answers.ApproxEquals(
-      unified_snf.ValueOrDie().evaluate.answers, 1e-12));
+  // o-sharing with a strategy override: SNF agrees with SEF.
+  auto sef = engine->Run(Request::MethodEval(q4, Method::kOSharing)
+                             .WithStrategy(osharing::StrategyKind::kSEF));
+  auto snf = engine->Run(Request::MethodEval(q4, Method::kOSharing)
+                             .WithStrategy(osharing::StrategyKind::kSNF));
+  ASSERT_TRUE(sef.ok() && snf.ok());
+  EXPECT_EQ(snf.ValueOrDie().kind, RequestKind::kEvaluate);
+  EXPECT_TRUE(sef.ValueOrDie().evaluate.answers.ApproxEquals(
+      snf.ValueOrDie().evaluate.answers, 1e-9));
 
-  // Top-k.
-  auto legacy_topk = engine->EvaluateTopK(q4, 3);
-  auto unified_topk = engine->Run(Request::TopK(q4, 3));
-  ASSERT_TRUE(legacy_topk.ok() && unified_topk.ok());
-  const auto& lt = legacy_topk.ValueOrDie().tuples;
-  const auto& ut = unified_topk.ValueOrDie().top_k.tuples;
-  ASSERT_EQ(lt.size(), ut.size());
-  for (size_t i = 0; i < lt.size(); ++i) {
-    EXPECT_EQ(lt[i].lower_bound, ut[i].lower_bound);
-    EXPECT_EQ(lt[i].upper_bound, ut[i].upper_bound);
+  // Top-k: the bounds bracket the exact probabilities of the top 3.
+  auto topk = engine->Run(Request::TopK(q4, 3));
+  ASSERT_TRUE(topk.ok());
+  EXPECT_EQ(topk.ValueOrDie().kind, RequestKind::kTopK);
+  const auto exact_top = expected.TopK(3);
+  const auto& tuples = topk.ValueOrDie().top_k.tuples;
+  ASSERT_EQ(tuples.size(), exact_top.size());
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    EXPECT_LE(tuples[i].lower_bound, exact_top[i].probability + 1e-9) << i;
+    EXPECT_GE(tuples[i].upper_bound, exact_top[i].probability - 1e-9) << i;
   }
 
   // Set-op.
-  const auto left = SetOpLeft();
-  const auto right = SetOpRight();
-  auto legacy_setop = engine->EvaluateSetOp(left, right, SetOpKind::kUnion);
-  auto unified_setop =
-      engine->Run(Request::SetOp(left, right, SetOpKind::kUnion));
-  ASSERT_TRUE(legacy_setop.ok() && unified_setop.ok());
-  EXPECT_TRUE(legacy_setop.ValueOrDie().answers.ApproxEquals(
-      unified_setop.ValueOrDie().evaluate.answers, 1e-12));
+  auto setop =
+      engine->Run(Request::SetOp(SetOpLeft(), SetOpRight(), SetOpKind::kUnion));
+  ASSERT_TRUE(setop.ok());
+  EXPECT_EQ(setop.ValueOrDie().kind, RequestKind::kSetOp);
 
-  // Threshold.
-  auto legacy_thr = engine->EvaluateThreshold(q4, 0.2);
-  auto unified_thr = engine->Run(Request::Threshold(q4, 0.2));
-  ASSERT_TRUE(legacy_thr.ok() && unified_thr.ok());
-  EXPECT_EQ(legacy_thr.ValueOrDie().tuples.size(),
-            unified_thr.ValueOrDie().threshold.tuples.size());
+  // Threshold: every returned tuple can reach the threshold.
+  auto threshold = engine->Run(Request::Threshold(q4, 0.2));
+  ASSERT_TRUE(threshold.ok());
+  EXPECT_EQ(threshold.ValueOrDie().kind, RequestKind::kThreshold);
+  for (const auto& t : threshold.ValueOrDie().threshold.tuples) {
+    EXPECT_GE(t.upper_bound, 0.2 - 1e-9);
+  }
 }
 
 TEST(RequestDispatchTest, ValidationCatchesMalformedRequests) {
@@ -177,6 +177,59 @@ TEST(RequestDispatchTest, ValidationCatchesMalformedRequests) {
                    Request::Threshold(QueryById("Q1").query, 0.0)).ok());
   EXPECT_FALSE(ValidateRequest(
                    Request::Threshold(QueryById("Q1").query, 1.5)).ok());
+}
+
+TEST(RequestNamesTest, ParsersAcceptEverySpellingAndRejectUnknownNames) {
+  // Canonical name in any case, or the same name without dashes.
+  const std::pair<const char*, Method> methods[] = {
+      {"basic", Method::kBasic},         {"BASIC", Method::kBasic},
+      {"e-basic", Method::kEBasic},      {"E-Basic", Method::kEBasic},
+      {"ebasic", Method::kEBasic},       {"EBASIC", Method::kEBasic},
+      {"e-MQO", Method::kEMqo},          {"e-mqo", Method::kEMqo},
+      {"emqo", Method::kEMqo},           {"eMQO", Method::kEMqo},
+      {"q-sharing", Method::kQSharing},  {"Q-Sharing", Method::kQSharing},
+      {"qsharing", Method::kQSharing},   {"QSHARING", Method::kQSharing},
+      {"o-sharing", Method::kOSharing},  {"O-SHARING", Method::kOSharing},
+      {"osharing", Method::kOSharing},   {"OSharing", Method::kOSharing},
+  };
+  for (const auto& [name, expected] : methods) {
+    Method parsed = Method::kOSharing;
+    EXPECT_TRUE(ParseMethod(name, &parsed)) << name;
+    EXPECT_EQ(parsed, expected) << name;
+  }
+  for (const char* name : {"", "bogus", "o_sharing", "o--sharing",
+                           "-osharing", "osharing-", "osharin", "sharing",
+                           "e-", "basic "}) {
+    Method parsed;
+    EXPECT_FALSE(ParseMethod(name, &parsed)) << "'" << name << "'";
+  }
+
+  const std::pair<const char*, SetOpKind> set_ops[] = {
+      {"union", SetOpKind::kUnion},         {"UNION", SetOpKind::kUnion},
+      {"Union", SetOpKind::kUnion},         {"intersect", SetOpKind::kIntersect},
+      {"INTERSECT", SetOpKind::kIntersect}, {"except", SetOpKind::kExcept},
+      {"Except", SetOpKind::kExcept},
+  };
+  for (const auto& [name, expected] : set_ops) {
+    SetOpKind parsed = SetOpKind::kUnion;
+    EXPECT_TRUE(ParseSetOp(name, &parsed)) << name;
+    EXPECT_EQ(parsed, expected) << name;
+  }
+  for (const char* name : {"", "unions", "un-ion", "minus", "or"}) {
+    SetOpKind parsed;
+    EXPECT_FALSE(ParseSetOp(name, &parsed)) << "'" << name << "'";
+  }
+
+  for (const WorkloadQuery& q : PaperWorkload()) {
+    const WorkloadQuery* found = FindQuery(q.id);
+    ASSERT_NE(found, nullptr) << q.id;
+    EXPECT_EQ(found->id, q.id);
+    EXPECT_EQ(found->schema, q.schema);
+    EXPECT_EQ(found, FindQuery(q.id));  // resolved once, stable address
+  }
+  for (const char* id : {"", "Q0", "Q11", "q1", "Q1 "}) {
+    EXPECT_EQ(FindQuery(id), nullptr) << "'" << id << "'";
+  }
 }
 
 TEST(RequestFingerprintTest, DistinguishesKindsAndParameters) {
@@ -198,9 +251,10 @@ TEST(RequestFingerprintTest, DistinguishesKindsAndParameters) {
   EXPECT_NE(eval, fp(Request::MethodEval(q4, Method::kOSharing)
                          .WithStrategy(osharing::StrategyKind::kSNF)));
 
-  // Structurally identical requests built independently hash equal.
-  EXPECT_EQ(fp(Request::TopK(QueryById("Q4").query, 3)),
-            fp(Request::TopK(QueryById("Q4").query, 3)));
+  // Structurally identical requests built independently (each
+  // PaperWorkload call rebuilds the plan trees) hash equal.
+  EXPECT_EQ(fp(Request::TopK(PaperWorkload()[3].query, 3)),
+            fp(Request::TopK(PaperWorkload()[3].query, 3)));
   // A strategy override is identity only for the kinds that consume
   // it; elsewhere it must not split the cache/dedup key.
   EXPECT_EQ(fp(Request::MethodEval(q4, Method::kBasic)
@@ -240,9 +294,6 @@ TEST(AsyncSubmitTest, FuturesResolveWithResultsIdenticalToSyncPath) {
     if (requests[i].kind == RequestKind::kEvaluate) {
       EXPECT_TRUE(direct.ValueOrDie().evaluate.answers.ApproxEquals(
           response.response->evaluate.answers, 1e-12));
-      // The legacy MethodResult view aliases the same response.
-      ASSERT_NE(response.result, nullptr);
-      EXPECT_EQ(response.result.get(), &response.response->evaluate);
     } else {
       const auto& direct_tuples = direct.ValueOrDie().top_k.tuples;
       const auto& async_tuples = response.response->top_k.tuples;

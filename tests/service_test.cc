@@ -16,6 +16,7 @@ namespace {
 
 using core::Engine;
 using core::Method;
+using core::Request;
 using core::WorkloadQuery;
 
 /// Engines are expensive; build one per target schema and share.
@@ -46,16 +47,17 @@ TEST(ParallelEvaluationTest, MatchesSequentialForAllMethodsOnWorkload) {
     eval.parallelism = 4;
     eval.pool = &pool;
     for (Method method : kAllMethods) {
-      auto sequential = engine->Evaluate(wq.query, method);
+      const Request request = Request::MethodEval(wq.query, method);
+      auto sequential = engine->Run(request);
       ASSERT_TRUE(sequential.ok())
           << wq.id << " " << MethodName(method) << ": "
           << sequential.status().ToString();
-      auto parallel = engine->Evaluate(wq.query, method, eval);
+      auto parallel = engine->Run(request, eval);
       ASSERT_TRUE(parallel.ok())
           << wq.id << " " << MethodName(method) << ": "
           << parallel.status().ToString();
-      const auto& seq = sequential.ValueOrDie();
-      const auto& par = parallel.ValueOrDie();
+      const auto& seq = sequential.ValueOrDie().evaluate;
+      const auto& par = parallel.ValueOrDie().evaluate;
       EXPECT_TRUE(seq.answers.ApproxEquals(par.answers, 1e-12))
           << wq.id << " " << MethodName(method) << "\nsequential:\n"
           << seq.answers.ToString() << "parallel:\n"
@@ -76,14 +78,15 @@ TEST(ParallelEvaluationTest, OSharingParallelLeafCountsMatchSequential) {
   Engine::EvalOptions eval;
   eval.parallelism = 3;
   eval.pool = &pool;
-  const auto query = core::QueryById("Q4").query;
-  auto seq = engine->Evaluate(query, Method::kOSharing);
-  auto par = engine->Evaluate(query, Method::kOSharing, eval);
+  const auto request =
+      Request::MethodEval(core::QueryById("Q4").query, Method::kOSharing);
+  auto seq = engine->Run(request);
+  auto par = engine->Run(request, eval);
   ASSERT_TRUE(seq.ok() && par.ok());
-  EXPECT_EQ(seq.ValueOrDie().source_queries,
-            par.ValueOrDie().source_queries);
-  EXPECT_EQ(seq.ValueOrDie().stats.operators_executed,
-            par.ValueOrDie().stats.operators_executed);
+  EXPECT_EQ(seq.ValueOrDie().evaluate.source_queries,
+            par.ValueOrDie().evaluate.source_queries);
+  EXPECT_EQ(seq.ValueOrDie().evaluate.stats.operators_executed,
+            par.ValueOrDie().evaluate.stats.operators_executed);
 }
 
 TEST(QueryServiceTest, CacheMissThenHit) {
@@ -92,17 +95,18 @@ TEST(QueryServiceTest, CacheMissThenHit) {
   options.num_threads = 2;
   QueryService service(engine, options);
 
-  QueryRequest request{core::QueryById("Q1").query, Method::kQSharing};
-  auto first = service.SubmitOne(request);
+  auto request =
+      Request::MethodEval(core::QueryById("Q1").query, Method::kQSharing);
+  auto first = service.Submit(request);
   ASSERT_TRUE(first.status.ok()) << first.status.ToString();
-  ASSERT_NE(first.result, nullptr);
+  ASSERT_NE(first.response, nullptr);
   EXPECT_FALSE(first.cache_hit);
 
-  auto second = service.SubmitOne(request);
+  auto second = service.Submit(request);
   ASSERT_TRUE(second.status.ok());
   EXPECT_TRUE(second.cache_hit);
-  // Zero-copy: the cached MethodResult object is shared.
-  EXPECT_EQ(first.result.get(), second.result.get());
+  // Zero-copy: the cached Response object is shared.
+  EXPECT_EQ(first.response.get(), second.response.get());
 
   CacheStats stats = service.cache_stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -111,7 +115,7 @@ TEST(QueryServiceTest, CacheMissThenHit) {
 
   // Duplicates of a cached plan report cache provenance, not in-batch
   // sharing.
-  auto batch = service.Submit({request, request});
+  auto batch = service.Submit(std::vector<Request>{request, request});
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_TRUE(batch[0].cache_hit);
   EXPECT_TRUE(batch[1].cache_hit);
@@ -124,24 +128,27 @@ TEST(QueryServiceTest, BatchDeduplicatesStructurallyIdenticalPlans) {
   options.num_threads = 2;
   QueryService service(engine, options);
 
-  // Two plans built independently (QueryById reconstructs the tree) are
-  // structurally identical and must share one evaluation.
-  std::vector<QueryRequest> batch = {
-      {core::QueryById("Q2").query, Method::kOSharing},
-      {core::QueryById("Q3").query, Method::kOSharing},
-      {core::QueryById("Q2").query, Method::kOSharing},
+  // Two plans built independently (each PaperWorkload call rebuilds
+  // the trees) are structurally identical and must share one
+  // evaluation.
+  const auto first_build = core::PaperWorkload();
+  const auto second_build = core::PaperWorkload();
+  std::vector<Request> batch = {
+      Request::MethodEval(first_build[1].query, Method::kOSharing),   // Q2
+      Request::MethodEval(first_build[2].query, Method::kOSharing),   // Q3
+      Request::MethodEval(second_build[1].query, Method::kOSharing),  // Q2
   };
   auto responses = service.Submit(batch);
   ASSERT_EQ(responses.size(), 3u);
   for (const auto& r : responses) {
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-    ASSERT_NE(r.result, nullptr);
+    ASSERT_NE(r.response, nullptr);
   }
   EXPECT_EQ(responses[0].fingerprint, responses[2].fingerprint);
   EXPECT_NE(responses[0].fingerprint, responses[1].fingerprint);
   EXPECT_FALSE(responses[0].shared_in_batch);
   EXPECT_TRUE(responses[2].shared_in_batch);
-  EXPECT_EQ(responses[0].result.get(), responses[2].result.get());
+  EXPECT_EQ(responses[0].response.get(), responses[2].response.get());
   // Only two distinct evaluations hit the cache as misses.
   EXPECT_EQ(service.cache_stats().misses, 2u);
   EXPECT_EQ(service.cache_stats().entries, 2u);
@@ -154,10 +161,10 @@ TEST(QueryServiceTest, BatchAnswersMatchDirectEngineEvaluation) {
   options.intra_query_parallelism = 2;
   QueryService service(engine, options);
 
-  std::vector<QueryRequest> batch;
+  std::vector<Request> batch;
   for (const char* id : {"Q1", "Q2", "Q3", "Q4", "Q5"}) {
     for (Method method : kAllMethods) {
-      batch.push_back({core::QueryById(id).query, method});
+      batch.push_back(Request::MethodEval(core::QueryById(id).query, method));
     }
   }
   auto responses = service.Submit(batch);
@@ -165,10 +172,10 @@ TEST(QueryServiceTest, BatchAnswersMatchDirectEngineEvaluation) {
   for (size_t i = 0; i < batch.size(); ++i) {
     ASSERT_TRUE(responses[i].status.ok())
         << responses[i].status.ToString();
-    auto direct = engine->Evaluate(batch[i].query, batch[i].method);
+    auto direct = engine->Run(batch[i]);
     ASSERT_TRUE(direct.ok());
-    EXPECT_TRUE(direct.ValueOrDie().answers.ApproxEquals(
-        responses[i].result->answers, 1e-9))
+    EXPECT_TRUE(direct.ValueOrDie().evaluate.answers.ApproxEquals(
+        responses[i].response->evaluate.answers, 1e-9))
         << "request " << i;
   }
 }
@@ -176,11 +183,13 @@ TEST(QueryServiceTest, BatchAnswersMatchDirectEngineEvaluation) {
 TEST(QueryServiceTest, CacheKeyedByMethod) {
   Engine* engine = SharedEngine(datagen::TargetSchemaId::kExcel);
   QueryService service(engine, ServiceOptions{});
-  QueryRequest as_basic{core::QueryById("Q1").query, Method::kBasic};
-  QueryRequest as_osharing{core::QueryById("Q1").query, Method::kOSharing};
+  auto as_basic =
+      Request::MethodEval(core::QueryById("Q1").query, Method::kBasic);
+  auto as_osharing =
+      Request::MethodEval(core::QueryById("Q1").query, Method::kOSharing);
   EXPECT_NE(service.Fingerprint(as_basic), service.Fingerprint(as_osharing));
-  auto first = service.SubmitOne(as_basic);
-  auto second = service.SubmitOne(as_osharing);
+  auto first = service.Submit(as_basic);
+  auto second = service.Submit(as_osharing);
   ASSERT_TRUE(first.status.ok() && second.status.ok());
   EXPECT_FALSE(second.cache_hit);
 }
@@ -195,12 +204,13 @@ TEST(QueryServiceTest, CacheKeyedByMappingSet) {
   Engine* engine = owned.ValueOrDie().get();
 
   QueryService service(engine, ServiceOptions{});
-  QueryRequest request{core::QueryById("Q4").query, Method::kQSharing};
+  auto request =
+      Request::MethodEval(core::QueryById("Q4").query, Method::kQSharing);
   auto fp_before = service.Fingerprint(request);
-  ASSERT_TRUE(service.SubmitOne(request).status.ok());
+  ASSERT_TRUE(service.Submit(request).status.ok());
   engine->UseTopMappings(4);
   EXPECT_NE(service.Fingerprint(request), fp_before);
-  auto after = service.SubmitOne(request);
+  auto after = service.Submit(request);
   ASSERT_TRUE(after.status.ok());
   EXPECT_FALSE(after.cache_hit);  // reconfiguration invalidates by key
 }
@@ -212,20 +222,23 @@ TEST(QueryServiceTest, EvictionRespectsCapacity) {
   options.cache_capacity = 2;
   QueryService service(engine, options);
   for (const char* id : {"Q1", "Q2", "Q3"}) {
-    ASSERT_TRUE(
-        service.SubmitOne({core::QueryById(id).query, Method::kQSharing})
-            .status.ok());
+    ASSERT_TRUE(service
+                    .Submit(Request::MethodEval(core::QueryById(id).query,
+                                                Method::kQSharing))
+                    .status.ok());
   }
   CacheStats stats = service.cache_stats();
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_EQ(stats.evictions, 1u);
   // Q1 was evicted (LRU), Q3 still resident.
-  EXPECT_FALSE(
-      service.SubmitOne({core::QueryById("Q1").query, Method::kQSharing})
-          .cache_hit);
-  EXPECT_TRUE(
-      service.SubmitOne({core::QueryById("Q3").query, Method::kQSharing})
-          .cache_hit);
+  EXPECT_FALSE(service
+                   .Submit(Request::MethodEval(core::QueryById("Q1").query,
+                                               Method::kQSharing))
+                   .cache_hit);
+  EXPECT_TRUE(service
+                  .Submit(Request::MethodEval(core::QueryById("Q3").query,
+                                              Method::kQSharing))
+                  .cache_hit);
 }
 
 TEST(QueryServiceTest, PerRequestErrorsDoNotFailTheBatch) {
@@ -235,17 +248,17 @@ TEST(QueryServiceTest, PerRequestErrorsDoNotFailTheBatch) {
       algebra::MakeScan("no_such_table", "x"),
       algebra::Predicate::AttrCmpValue("x.a", algebra::CmpOp::kEq,
                                        relational::Value(1)));
-  std::vector<QueryRequest> batch = {
-      {bogus, Method::kBasic},
-      {core::QueryById("Q1").query, Method::kBasic},
-      {nullptr, Method::kBasic},
+  std::vector<Request> batch = {
+      Request::MethodEval(bogus, Method::kBasic),
+      Request::MethodEval(core::QueryById("Q1").query, Method::kBasic),
+      Request::MethodEval(nullptr, Method::kBasic),
   };
   auto responses = service.Submit(batch);
   ASSERT_EQ(responses.size(), 3u);
   EXPECT_FALSE(responses[0].status.ok());
-  EXPECT_EQ(responses[0].result, nullptr);
+  EXPECT_EQ(responses[0].response, nullptr);
   EXPECT_TRUE(responses[1].status.ok());
-  ASSERT_NE(responses[1].result, nullptr);
+  ASSERT_NE(responses[1].response, nullptr);
   EXPECT_FALSE(responses[2].status.ok());
 }
 
@@ -268,15 +281,25 @@ algebra::PlanFingerprint FingerprintOf(uint64_t seed) {
   return fp;
 }
 
+/// Puts a fabricated ~`bytes` answer under key `key`, computed at
+/// mapping epoch `epoch` and catalog data epoch `data_epoch` over the
+/// source relations `sources` (empty = depends on every relation).
+void PutAnswer(AnswerCache* cache, uint64_t key, size_t bytes,
+               uint64_t epoch = 0, std::vector<uint64_t> sources = {},
+               uint64_t data_epoch = 0) {
+  cache->Put(FingerprintOf(key), ResponseOfBytes(bytes), epoch,
+             std::move(sources), data_epoch);
+}
+
 TEST(AnswerCacheTest, EvictsByAnswerBytesNotEntryCount) {
   AnswerCacheOptions options;
   options.capacity_entries = 100;  // entry bound alone would keep all
   options.capacity_bytes = 1024;
   AnswerCache cache(options);
   // Three ~480-byte answers blow a 1 KB budget at the third Put.
-  cache.Put(FingerprintOf(1), ResponseOfBytes(480));
-  cache.Put(FingerprintOf(2), ResponseOfBytes(480));
-  cache.Put(FingerprintOf(3), ResponseOfBytes(480));
+  PutAnswer(&cache, 1, 480);
+  PutAnswer(&cache, 2, 480);
+  PutAnswer(&cache, 3, 480);
   CacheStats stats = cache.stats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_LE(stats.bytes, 1024u + sizeof(core::Response));
@@ -289,7 +312,7 @@ TEST(AnswerCacheTest, OversizedAnswerStillServesRepeats) {
   options.capacity_entries = 4;
   options.capacity_bytes = 64;  // smaller than any real answer
   AnswerCache cache(options);
-  cache.Put(FingerprintOf(1), ResponseOfBytes(512));
+  PutAnswer(&cache, 1, 512);
   // The newest entry is never evicted by the byte bound, so a repeat
   // of even an over-budget answer is a hit.
   EXPECT_NE(cache.Get(FingerprintOf(1)), nullptr);
@@ -300,7 +323,7 @@ TEST(AnswerCacheTest, TtlExpiresEntries) {
   options.capacity_entries = 8;
   options.ttl_seconds = 0.02;
   AnswerCache cache(options);
-  cache.Put(FingerprintOf(1), ResponseOfBytes(64));
+  PutAnswer(&cache, 1, 64);
   EXPECT_NE(cache.Get(FingerprintOf(1)), nullptr);
   std::this_thread::sleep_for(std::chrono::milliseconds(40));
   EXPECT_EQ(cache.Get(FingerprintOf(1)), nullptr);
@@ -311,7 +334,7 @@ TEST(AnswerCacheTest, TtlExpiresEntries) {
 
 TEST(AnswerCacheTest, FenceEpochInvalidates) {
   AnswerCache cache(AnswerCacheOptions{});
-  cache.Put(FingerprintOf(1), ResponseOfBytes(64));
+  PutAnswer(&cache, 1, 64);
   cache.FenceEpoch(0);  // initial epoch: no-op
   EXPECT_EQ(cache.stats().entries, 1u);
   cache.FenceEpoch(1);  // reconfiguration
@@ -322,7 +345,7 @@ TEST(AnswerCacheTest, FenceEpochInvalidates) {
 TEST(AnswerCacheTest, FenceEpochIsForwardOnly) {
   AnswerCache cache(AnswerCacheOptions{});
   cache.FenceEpoch(2);
-  cache.Put(FingerprintOf(1), ResponseOfBytes(64), /*epoch=*/2);
+  PutAnswer(&cache, 1, 64, /*epoch=*/2);
   EXPECT_EQ(cache.stats().entries, 1u);
   // A stale worker fencing late must not clear newer-epoch entries.
   cache.FenceEpoch(1);
@@ -335,10 +358,51 @@ TEST(AnswerCacheTest, StaleEpochPutDoesNotRepopulateFencedCache) {
   // A response computed under epoch 0 must be dropped: its fingerprint
   // is unreachable by any current-epoch request, and no future
   // FenceEpoch(1) would ever drop it.
-  cache.Put(FingerprintOf(1), ResponseOfBytes(64), /*epoch=*/0);
+  PutAnswer(&cache, 1, 64, /*epoch=*/0);
   EXPECT_EQ(cache.stats().entries, 0u);
-  cache.Put(FingerprintOf(2), ResponseOfBytes(64), /*epoch=*/1);
+  PutAnswer(&cache, 2, 64, /*epoch=*/1);
   EXPECT_EQ(cache.stats().entries, 1u);
+  // The mapping-epoch check holds whatever the data provenance: a
+  // footprinted response at a current data epoch is still dropped.
+  PutAnswer(&cache, 3, 64, /*epoch=*/0, /*sources=*/{10}, /*data_epoch=*/5);
+  EXPECT_EQ(cache.Get(FingerprintOf(3)), nullptr);
+}
+
+TEST(AnswerCacheTest, FenceRelationsDropsOnlyIntersectingSources) {
+  AnswerCache cache(AnswerCacheOptions{});
+  PutAnswer(&cache, 1, 64, 0, /*sources=*/{10});
+  PutAnswer(&cache, 2, 64, 0, /*sources=*/{20});
+  PutAnswer(&cache, 3, 64, 0, /*sources=*/{10, 30});
+  EXPECT_EQ(cache.FenceRelations(/*changed=*/{10}, /*data_epoch=*/1), 2u);
+  EXPECT_EQ(cache.Get(FingerprintOf(1)), nullptr);
+  EXPECT_NE(cache.Get(FingerprintOf(2)), nullptr);  // disjoint: survives
+  EXPECT_EQ(cache.Get(FingerprintOf(3)), nullptr);
+  EXPECT_EQ(cache.stats().relation_fenced, 2u);
+}
+
+TEST(AnswerCacheTest, EmptyFootprintIsDroppedByAnyRelationChange) {
+  AnswerCache cache(AnswerCacheOptions{});
+  PutAnswer(&cache, 1, 64, 0, /*sources=*/{});
+  PutAnswer(&cache, 2, 64, 0, /*sources=*/{20});
+  EXPECT_EQ(cache.FenceRelations(/*changed=*/{99}, /*data_epoch=*/1), 1u);
+  EXPECT_EQ(cache.Get(FingerprintOf(1)), nullptr);
+  EXPECT_NE(cache.Get(FingerprintOf(2)), nullptr);
+}
+
+TEST(AnswerCacheTest, PreDeltaPutArrivingAfterFenceIsRejected) {
+  AnswerCache cache(AnswerCacheOptions{});
+  // The delta producing data epoch 1 touched relation 10 before a
+  // response computed at data epoch 0 reached the cache.
+  EXPECT_EQ(cache.FenceRelations(/*changed=*/{10}, /*data_epoch=*/1), 0u);
+  PutAnswer(&cache, 1, 64, 0, /*sources=*/{10}, /*data_epoch=*/0);
+  PutAnswer(&cache, 2, 64, 0, /*sources=*/{}, /*data_epoch=*/0);
+  EXPECT_EQ(cache.stats().entries, 0u);  // both may have read stale rows
+  // A disjoint footprint, or a response computed after the delta, is
+  // still admitted.
+  PutAnswer(&cache, 3, 64, 0, /*sources=*/{20}, /*data_epoch=*/0);
+  PutAnswer(&cache, 4, 64, 0, /*sources=*/{10}, /*data_epoch=*/1);
+  EXPECT_NE(cache.Get(FingerprintOf(3)), nullptr);
+  EXPECT_NE(cache.Get(FingerprintOf(4)), nullptr);
 }
 
 TEST(QueryServiceTest, ReconfigurationFencesAnswerCache) {
@@ -350,13 +414,14 @@ TEST(QueryServiceTest, ReconfigurationFencesAnswerCache) {
   Engine* engine = owned.ValueOrDie().get();
 
   QueryService service(engine, ServiceOptions{});
-  QueryRequest request{core::QueryById("Q1").query, Method::kQSharing};
-  ASSERT_TRUE(service.SubmitOne(request).status.ok());
+  auto request =
+      Request::MethodEval(core::QueryById("Q1").query, Method::kQSharing);
+  ASSERT_TRUE(service.Submit(request).status.ok());
   EXPECT_EQ(service.cache_stats().entries, 1u);
   engine->UseTopMappings(4);
   // The next dispatch notices the epoch change and drops the (already
   // unreachable) pre-reconfiguration entries.
-  ASSERT_TRUE(service.SubmitOne(request).status.ok());
+  ASSERT_TRUE(service.Submit(request).status.ok());
   EXPECT_EQ(service.cache_stats().entries, 1u);
   EXPECT_EQ(service.cache_stats().evictions, 0u);
 }
@@ -366,9 +431,10 @@ TEST(QueryServiceTest, ZeroCapacityDisablesCaching) {
   ServiceOptions options;
   options.cache_capacity = 0;
   QueryService service(engine, options);
-  QueryRequest request{core::QueryById("Q1").query, Method::kQSharing};
-  ASSERT_TRUE(service.SubmitOne(request).status.ok());
-  EXPECT_FALSE(service.SubmitOne(request).cache_hit);
+  auto request =
+      Request::MethodEval(core::QueryById("Q1").query, Method::kQSharing);
+  ASSERT_TRUE(service.Submit(request).status.ok());
+  EXPECT_FALSE(service.Submit(request).cache_hit);
   EXPECT_EQ(service.cache_stats().entries, 0u);
 }
 
