@@ -2,9 +2,7 @@
 /// Ablations for the design choices DESIGN.md calls out (not a paper
 /// figure):
 ///   (a) partition tree (Algorithm 3) vs naive O(h²) pairwise grouping;
-///   (b) o-sharing with vs without the cross-branch operator cache
-///       (our implementation of the paper's §IX future-work item);
-///   (c) top-k partition visit order: descending probability (default)
+///   (b) top-k partition visit order: descending probability (default)
 ///       vs insertion order — measured in u-trace leaves visited.
 
 #include "bench/bench_util.h"
@@ -40,8 +38,7 @@ size_t NaivePartition(const reformulation::TargetQueryInfo& info,
 
 int main() {
   using namespace urm;
-  bench::PrintHeader("Ablations: partition tree, operator cache, "
-                     "top-k visit order",
+  bench::PrintHeader("Ablations: partition tree, top-k visit order",
                      "DESIGN.md §8 (not a paper figure)");
   bench::EngineCache engines;
   auto q = core::DefaultQuery();
@@ -66,33 +63,8 @@ int main() {
                 tree.ValueOrDie().partitions().size());
   }
 
-  // (b) o-sharing operator cache.
-  engine->UseTopMappings(static_cast<size_t>(bench::BenchH()));
-  std::printf("\n[b] o-sharing operator cache (Q1-Q10)\n");
-  std::printf("%-5s %-14s %-14s %-12s\n", "query", "cache-on(s)",
-              "cache-off(s)", "cache hits");
-  for (const auto& wq : core::PaperWorkload()) {
-    core::Engine* e =
-        engines.Get(wq.schema, bench::BenchMb(), bench::BenchH());
-    auto analyzed = e->Analyze(wq.query).ValueOrDie();
-    double times[2] = {0, 0};
-    size_t hits = 0;
-    for (int variant = 0; variant < 2; ++variant) {
-      osharing::OSharingOptions options;
-      options.enable_operator_cache = (variant == 0);
-      Timer t;
-      auto result = osharing::RunOSharing(analyzed, e->mappings(),
-                                          e->catalog(), options);
-      times[variant] = t.Seconds();
-      URM_CHECK(result.ok()) << result.status().ToString();
-      if (variant == 0) hits = result.ValueOrDie().stats.cache_hits;
-    }
-    std::printf("%-5s %-14.4f %-14.4f %-12zu\n", wq.id.c_str(), times[0],
-                times[1], hits);
-  }
-
-  // (c) top-k visit order.
-  std::printf("\n[c] top-k partition visit order (Q4, leaves visited)\n");
+  // (b) top-k visit order.
+  std::printf("\n[b] top-k partition visit order (Q4, leaves visited)\n");
   std::printf("%-6s %-18s %-18s\n", "k", "by-probability", "insertion");
   engine->UseTopMappings(static_cast<size_t>(bench::BenchH()));
   for (size_t k : {1, 5, 10}) {

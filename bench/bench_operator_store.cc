@@ -4,7 +4,7 @@
 ///   * cross_query — an overlapping o-sharing workload evaluated twice
 ///     through one QueryService (answer cache off): the second wave
 ///     reuses the first wave's materialized selections/scans; the hit
-///     rate and speedup quantify cross-query o-sharing.
+///     rate and the wave2/wave1 times quantify cross-query o-sharing.
 ///   * single_flight — the same wave submitted concurrently: identical
 ///     operator needs collapse to one computation (waits counted).
 ///   * fanout — recursive u-trace fan-out vs root-only vs sequential on
@@ -116,33 +116,21 @@ int main() {
     double wave1 = 0.0, wave2 = 0.0;
     osharing::OperatorStoreStats stats;  // deterministic across runs
     for (int r = 0; r < wave_runs; ++r) {
-      service::QueryService with_store(engine.ValueOrDie().get(), options);
-      double w1 = SubmitAllSeconds(&with_store, workload);
-      double w2 = SubmitAllSeconds(&with_store, workload);
+      service::QueryService service(engine.ValueOrDie().get(), options);
+      double w1 = SubmitAllSeconds(&service, workload);
+      double w2 = SubmitAllSeconds(&service, workload);
       if (r == 0 || w1 < wave1) wave1 = w1;
       if (r == 0 || w2 < wave2) wave2 = w2;
-      stats = with_store.operator_store_stats();
+      stats = service.operator_store_stats();
     }
     double lookups = static_cast<double>(stats.hits + stats.misses);
     double hit_rate = lookups > 0 ? stats.hits / lookups : 0.0;
 
-    options.share_operators = false;
-    double wave1_nostore = 0.0, wave2_nostore = 0.0;
-    for (int r = 0; r < wave_runs; ++r) {
-      service::QueryService without_store(engine.ValueOrDie().get(), options);
-      double w1 = SubmitAllSeconds(&without_store, workload);
-      double w2 = SubmitAllSeconds(&without_store, workload);
-      if (r == 0 || w1 < wave1_nostore) wave1_nostore = w1;
-      if (r == 0 || w2 < wave2_nostore) wave2_nostore = w2;
-    }
-
     std::printf("cross_query: %zu requests/wave\n", workload.size());
-    std::printf("  with store:    wave1 %7.1f ms, wave2 %7.1f ms "
+    std::printf("  wave1 %7.1f ms, wave2 %7.1f ms "
                 "(hit rate %.2f, %zu hits, %.1f KB reused)\n",
                 wave1 * 1e3, wave2 * 1e3, hit_rate, stats.hits,
                 stats.bytes_reused / 1024.0);
-    std::printf("  without store: wave1 %7.1f ms, wave2 %7.1f ms\n",
-                wave1_nostore * 1e3, wave2_nostore * 1e3);
     bench::JsonLine("operator_store")
         .Field("config", "cross_query")
         .Field("mb", mb)
@@ -151,12 +139,10 @@ int main() {
         .Field("requests_per_wave", workload.size())
         .Field("wave1_ms", wave1 * 1e3)
         .Field("wave2_ms", wave2 * 1e3)
-        .Field("wave2_nostore_ms", wave2_nostore * 1e3)
         .Field("hit_rate", hit_rate)
         .Field("hits", stats.hits)
         .Field("misses", stats.misses)
         .Field("bytes_reused", stats.bytes_reused)
-        .Field("wave2_speedup", wave2 > 0 ? wave2_nostore / wave2 : 0.0)
         .Emit();
   }
 

@@ -65,12 +65,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <future>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -99,7 +101,7 @@ struct ServerArgs {
   size_t cache = 256;
   int parallelism = 1;
   int shards = 1;           ///< mapping shards per evaluation (1 = off)
-  double store_mb = 256.0;  ///< operator-store byte budget (0 disables)
+  double store_mb = 256.0;  ///< operator-store byte budget (MB, >= 0)
   double ttl = 0.0;         ///< answer-cache TTL seconds (0 = none)
   std::string metrics_file;      ///< exposition dump path ("" = off)
   double metrics_interval = 0.0; ///< dump period seconds (<= 0: at exit)
@@ -224,7 +226,6 @@ class ServiceDirectory : public net::api::ServiceHub {
     service_options.cache_ttl_seconds = args_.ttl;
     service_options.intra_query_parallelism = args_.parallelism;
     service_options.mapping_shards = args_.shards;
-    service_options.share_operators = args_.store_mb > 0.0;
     service_options.operator_store_bytes =
         static_cast<size_t>(args_.store_mb * 1024 * 1024);
     // Each schema's service shares the process DefaultRegistry; the
@@ -346,16 +347,15 @@ void PrintResponse(const std::string& label,
                   r.evaluate.answers.null_probability(),
                   r.evaluate.partitions, r.evaluate.TotalSeconds() * 1e3);
       if (r.evaluate.stats.cache_hits + r.evaluate.stats.cache_misses > 0) {
-        // Operator-cache observability: how much materialization this
-        // evaluation reused (op-cache + shared store) vs computed.
-        // Every field is labelled with its EvalStats name; the field
-        // glossary lives in docs/TUNING.md.
+        // Operator-store observability: how much materialization this
+        // evaluation reused vs computed. Every field is labelled with
+        // its EvalStats name; the field glossary lives in
+        // docs/TUNING.md.
         std::printf("  [ops: cache_hits=%zu cache_misses=%zu "
-                    "store_hits=%zu cache_bytes_saved=%.1fKB "
+                    "cache_bytes_saved=%.1fKB "
                     "bytes_scanned=%.1fKB columnar_scans=%zu]",
                     r.evaluate.stats.cache_hits,
                     r.evaluate.stats.cache_misses,
-                    r.evaluate.stats.store_hits,
                     r.evaluate.stats.cache_bytes_saved / 1024.0,
                     r.evaluate.stats.bytes_scanned / 1024.0,
                     r.evaluate.stats.columnar_scans);
@@ -651,6 +651,30 @@ class MetricsDumper {
   std::thread thread_;
 };
 
+constexpr const char kUsage[] =
+    "usage: urm_server [--mb 1.0] [--h 100] [--threads 4] [--cache 256]\n"
+    "                  [--parallelism 1] [--shards 1] [--store-mb 256]\n"
+    "                  [--ttl 0] [--http <port>] [--http-drain <s>]\n"
+    "                  [--metrics-file <path>] [--metrics-interval <s>]\n"
+    "                  [--log-level debug|info|warn|error|off]\n";
+
+/// Parses --store-mb: a finite, non-negative number of megabytes whose
+/// byte count fits a size_t. Anything else (negative, non-numeric,
+/// trailing junk, NaN/inf, overflow) is rejected.
+bool ParseStoreMb(const char* text, double* mb) {
+  char* end = nullptr;
+  errno = 0;
+  double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(value) || value < 0.0 ||
+      value * 1024 * 1024 >=
+          static_cast<double>(std::numeric_limits<size_t>::max())) {
+    return false;
+  }
+  *mb = value;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -673,8 +697,16 @@ int main(int argc, char** argv) {
       args.parallelism = std::atoi(next("--parallelism"));
     else if (std::strcmp(argv[i], "--shards") == 0)
       args.shards = std::atoi(next("--shards"));
-    else if (std::strcmp(argv[i], "--store-mb") == 0)
-      args.store_mb = std::atof(next("--store-mb"));
+    else if (std::strcmp(argv[i], "--store-mb") == 0) {
+      const char* text = next("--store-mb");
+      if (!ParseStoreMb(text, &args.store_mb)) {
+        std::fprintf(stderr,
+                     "invalid --store-mb '%s': expected the operator-store "
+                     "budget in MB, a non-negative number\n%s",
+                     text, kUsage);
+        return 1;
+      }
+    }
     else if (std::strcmp(argv[i], "--ttl") == 0)
       args.ttl = std::atof(next("--ttl"));
     else if (std::strcmp(argv[i], "--http") == 0)

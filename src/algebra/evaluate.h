@@ -23,8 +23,9 @@ struct EvalStats {
   size_t scans = 0;               ///< base-table scans
   size_t tuples_produced = 0;     ///< rows emitted by all operators
   /// Memoized operator evaluations reused instead of recomputed: e-MQO
-  /// subplan memo hits plus o-sharing operator-cache hits (private
-  /// per-engine memo and the cross-query OperatorStore combined).
+  /// subplan memo hits plus o-sharing OperatorStore hits (a sibling
+  /// branch, a parallel clone or another query materialized the
+  /// operator; single-flight waits included).
   size_t cache_hits = 0;
   size_t cache_misses = 0;  ///< operator-cache lookups that computed fresh
   /// Result-relation bytes served from an o-sharing operator cache —
@@ -32,10 +33,6 @@ struct EvalStats {
   /// results). e-MQO memo hits count in cache_hits only: weighing them
   /// would rescan the relation on every hit.
   size_t cache_bytes_saved = 0;
-  /// Subset of cache_hits served by the *shared* cross-query
-  /// OperatorStore (another query or a sibling parallel branch
-  /// materialized the operator), including single-flight waits.
-  size_t store_hits = 0;
   /// Selections answered by codec-aware columnar scans (selection
   /// vectors evaluated on the encoded form, no row materialization).
   size_t columnar_scans = 0;
@@ -58,7 +55,6 @@ struct EvalStats {
     cache_hits += other.cache_hits;
     cache_misses += other.cache_misses;
     cache_bytes_saved += other.cache_bytes_saved;
-    store_hits += other.store_hits;
     columnar_scans += other.columnar_scans;
     row_scans += other.row_scans;
     bytes_scanned += other.bytes_scanned;

@@ -178,6 +178,19 @@ Result<Response> Engine::Run(const Request& request,
   return response;
 }
 
+osharing::OSharingOptions Engine::MakeOSharingOptions(
+    const Request& request, const EvalOptions& eval, uint64_t store_epoch,
+    uint64_t store_shard_epoch, osharing::LeafVisitor* tee) const {
+  osharing::OSharingOptions options;
+  options.strategy = request.strategy.value_or(options_.strategy);
+  options.random_seed = options_.seed;
+  options.tee = tee;
+  options.store = eval.operator_store;
+  options.store_epoch = store_epoch;
+  options.store_shard_epoch = store_shard_epoch;
+  return options;
+}
+
 Result<baselines::MethodResult> Engine::EvaluateMethodOverMappings(
     const reformulation::TargetQueryInfo& info, const Request& request,
     const EvalOptions& eval, const std::vector<mapping::Mapping>& mappings,
@@ -201,15 +214,10 @@ Result<baselines::MethodResult> Engine::EvaluateMethodOverMappings(
       return qsharing::RunQSharing(info, mappings, catalog, reformulator,
                                    exec);
     case Method::kOSharing: {
-      osharing::OSharingOptions options;
-      options.strategy = request.strategy.value_or(options_.strategy);
-      options.random_seed = options_.seed;
+      osharing::OSharingOptions options = MakeOSharingOptions(
+          request, eval, store_epoch, store_shard_epoch, tee);
       options.parallelism = eval.parallelism;
       options.pool = eval.pool;
-      options.tee = tee;
-      options.store = eval.operator_store;
-      options.store_epoch = store_epoch;
-      options.store_shard_epoch = store_shard_epoch;
       return osharing::RunOSharing(info, mappings, catalog, options);
     }
   }
@@ -262,11 +270,8 @@ Result<Response> Engine::RunPinned(const Request& request,
       auto info = Analyze(request.query);
       if (!info.ok()) return info.status();
       topk::TopKOptions options;
-      options.osharing.strategy = request.strategy.value_or(options_.strategy);
-      options.osharing.random_seed = options_.seed;
-      options.osharing.tee = tee;
-      options.osharing.store = eval.operator_store;
-      options.osharing.store_epoch = state.epoch;
+      options.osharing = MakeOSharingOptions(request, eval, state.epoch,
+                                             /*store_shard_epoch=*/0, tee);
       auto result = topk::RunTopK(info.ValueOrDie(), state.mappings, catalog,
                                   request.k, options);
       if (!result.ok()) return result.status();
@@ -292,12 +297,8 @@ Result<Response> Engine::RunPinned(const Request& request,
     case RequestKind::kThreshold: {
       auto info = Analyze(request.query);
       if (!info.ok()) return info.status();
-      osharing::OSharingOptions options;
-      options.strategy = request.strategy.value_or(options_.strategy);
-      options.random_seed = options_.seed;
-      options.tee = tee;
-      options.store = eval.operator_store;
-      options.store_epoch = state.epoch;
+      osharing::OSharingOptions options = MakeOSharingOptions(
+          request, eval, state.epoch, /*store_shard_epoch=*/0, tee);
       auto result = topk::RunThreshold(info.ValueOrDie(), state.mappings,
                                        catalog, request.threshold, options);
       if (!result.ok()) return result.status();
@@ -403,14 +404,10 @@ Result<Response> Engine::RunSharded(const Request& request,
         // sound early-termination bound is its own exhausted mass —
         // which the scan applies by construction. The cut happens on
         // the merged exact probabilities below.
-        osharing::OSharingOptions options;
-        options.strategy = request.strategy.value_or(options_.strategy);
-        options.random_seed = options_.seed;
+        osharing::OSharingOptions options = MakeOSharingOptions(
+            request, shard_eval, state.epoch, shard.hash, /*tee=*/nullptr);
         options.parallelism = shard_eval.parallelism;
         options.pool = shard_eval.pool;
-        options.store = shard_eval.operator_store;
-        options.store_epoch = state.epoch;
-        options.store_shard_epoch = shard.hash;
         parts[s] = osharing::RunOSharing(info.ValueOrDie(), shard.mappings,
                                          catalog, options);
         return;

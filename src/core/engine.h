@@ -187,7 +187,8 @@ class Engine {
     /// serving tier owns one per QueryService and fences it on
     /// mapping-epoch changes, so concurrent and successive queries
     /// over the same catalog reuse each other's materializations. May
-    /// be null (each evaluation then shares only within itself).
+    /// be null (each o-sharing engine then owns a store for its one
+    /// evaluation).
     osharing::OperatorStore* operator_store = nullptr;
     /// Pre-resolved histograms RunSharded reports per-shard wall time
     /// and per-run skew (max/mean) into; the serving tier wires this
@@ -272,6 +273,15 @@ class Engine {
   /// unsharded one. `store_shard_epoch` is 0 for whole-set runs, the
   /// shard's identity hash otherwise (see OperatorKey::shard_epoch);
   /// `store_epoch` is the pinned mapping epoch.
+  /// The u-trace options every o-sharing, top-k and threshold
+  /// evaluation starts from: the request's strategy (or the engine
+  /// default), the engine seed, `tee`, and eval's operator store keyed
+  /// by `store_epoch` / `store_shard_epoch` (see
+  /// EvaluateMethodOverMappings). Parallelism is left to the caller.
+  osharing::OSharingOptions MakeOSharingOptions(
+      const Request& request, const EvalOptions& eval, uint64_t store_epoch,
+      uint64_t store_shard_epoch, osharing::LeafVisitor* tee) const;
+
   Result<baselines::MethodResult> EvaluateMethodOverMappings(
       const reformulation::TargetQueryInfo& info, const Request& request,
       const EvalOptions& eval,

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "algebra/plan.h"
+#include "common/hash_util.h"
 #include "common/logging.h"
 #include "relational/schema.h"
 
@@ -69,7 +70,12 @@ OSharingEngine::OSharingEngine(const reformulation::TargetQueryInfo& info,
     : info_(info),
       catalog_(catalog),
       options_(options),
-      rng_(options.random_seed) {}
+      rng_(options.random_seed) {
+  if (options_.store == nullptr) {
+    owned_store_ = std::make_unique<OperatorStore>();
+    options_.store = owned_store_.get();
+  }
+}
 
 Status OSharingEngine::Init() {
   auto shape = DecomposeQuery(info_);
@@ -103,8 +109,6 @@ EUnit OSharingEngine::MakeRoot(
 Status OSharingEngine::Run(const std::vector<WeightedMapping>& reps,
                            LeafVisitor* visitor) {
   URM_CHECK(visitor != nullptr);
-  selection_cache_.clear();
-  scan_cache_.clear();
   if (reps.empty()) return Status::OK();
   EUnit root = MakeRoot(reps);
   auto done = RunEUnit(root, visitor);
@@ -142,8 +146,6 @@ Status OSharingEngine::RunParallel(const std::vector<WeightedMapping>& reps,
                                    LeafVisitor* visitor, ThreadPool* pool) {
   URM_CHECK(visitor != nullptr);
   URM_CHECK(pool != nullptr);
-  selection_cache_.clear();
-  scan_cache_.clear();
   if (reps.empty()) return Status::OK();
   EUnit root = MakeRoot(reps);
 
@@ -154,24 +156,6 @@ Status OSharingEngine::RunParallel(const std::vector<WeightedMapping>& reps,
     auto done = RunEUnit(root, visitor);
     if (!done.ok()) return done.status();
     return Status::OK();
-  }
-
-  // Without a serving-tier store, scope one to this evaluation so
-  // sibling branches share materializations the sequential trace
-  // would have memoized (they previously redid them in private
-  // caches). Restored on every exit path: the scoped store dies with
-  // this call.
-  std::unique_ptr<OperatorStore> scoped_store;
-  struct StoreGuard {
-    OSharingOptions* options;
-    OperatorStore* previous;
-    ~StoreGuard() { options->store = previous; }
-  } guard{&options_, options_.store};
-  if (options_.store == nullptr && options_.enable_operator_cache) {
-    OperatorStoreOptions store_options;
-    store_options.num_shards = 8;
-    scoped_store = std::make_unique<OperatorStore>(store_options);
-    options_.store = scoped_store.get();
   }
 
   BufferingVisitor buffer;
@@ -249,11 +233,11 @@ Status OSharingEngine::RunSubtreeParallel(const EUnit& u, int depth,
       branch.leaves = 1;
       return;
     }
-    // Each branch runs in its own engine clone: private L1 caches and
-    // stats, decorrelated rng for the Random strategy — but the same
-    // shared OperatorStore, so branches reuse each other's
-    // materialized selections and scans. The parent e-unit and the
-    // representative mappings are shared read-only.
+    // Each branch runs in its own engine clone: private stats,
+    // decorrelated rng for the Random strategy — but the same
+    // OperatorStore (copied with options_), so branches reuse each
+    // other's materialized selections and scans. The parent e-unit and
+    // the representative mappings are shared read-only.
     OSharingOptions sub_options = options_;
     sub_options.tee = nullptr;  // leaves stream at replay, in order
     // Mix depth and branch index into the reseed (an additive offset
@@ -290,28 +274,6 @@ Status OSharingEngine::RunSubtreeParallel(const EUnit& u, int depth,
 
 Result<relational::RelationPtr> OSharingEngine::RunSelection(
     const RelationPtr& input, const algebra::Predicate& pred) {
-  // The store is part of the operator-cache feature: with the feature
-  // ablated it is not consulted (and the cache counters stay zero),
-  // even when a serving tier wired one in.
-  const bool use_l1 = options_.enable_operator_cache;
-  const bool use_store = options_.store != nullptr && use_l1;
-  SelectionKey key;
-  if (use_l1 || use_store) {
-    // Structural hash — the memo hot path neither renders nor
-    // string-compares the predicate; candidate hits are verified with
-    // Predicate::operator==.
-    key = SelectionKey{static_cast<const void*>(input.get()),
-                       pred.CacheHash()};
-  }
-  if (use_l1) {
-    auto it = selection_cache_.find(key);
-    if (it != selection_cache_.end() && it->second.pred == pred) {
-      stats_.cache_hits++;
-      stats_.cache_bytes_saved += it->second.bytes;
-      return it->second.rel;
-    }
-  }
-
   auto compute = [&]() -> Result<RelationPtr> {
     algebra::EvalContext ctx;
     ctx.catalog = &catalog_;
@@ -319,119 +281,64 @@ Result<relational::RelationPtr> OSharingEngine::RunSelection(
     return algebra::Evaluate(MakeSelect(MakeRelationLeaf(input, "f"), pred),
                              ctx);
   };
-
-  if (use_store) {
-    // Selections over per-query intermediates (post factor-fusion
-    // relations) land here too: unhittable across queries, but sibling
-    // branches of one parallel u-trace share the fused pointer and do
-    // reuse them — suppressing the insert would regress cross-branch
-    // sharing, and cold entries age out through the LRU anyway.
-    OperatorKey store_key;
-    // Keyed purely by input identity (the pinned input pointer cannot
-    // recycle while its entry lives) — never by catalog address: the
-    // engine's catalog is a per-evaluation snapshot whose stack/heap
-    // address means nothing across queries. A delta replacing a
-    // relation changes the downstream input pointers, so stale entries
-    // are unreachable by construction.
-    store_key.catalog = nullptr;
-    store_key.epoch = options_.store_epoch;
-    store_key.shard_epoch = options_.store_shard_epoch;
-    store_key.input = input.get();
-    store_key.op_hash = key.pred_hash;
-    bool shared = false;
-    size_t bytes = 0;
-    // Rendered only here — once per private-memo miss, never on the
-    // hot path — for the store's cross-engine hit verification.
-    auto rel = options_.store->GetOrCompute(store_key, pred.ToString(),
-                                            input, compute, &shared, &bytes);
-    if (!rel.ok()) return rel;
-    RecordStoreOutcome(shared, bytes);
-    if (use_l1) {
-      selection_cache_[key] = CachedSelection{pred, rel.ValueOrDie(), bytes};
-    }
-    return rel;
-  }
-
-  auto rel = compute();
-  if (!rel.ok()) return rel;
-  if (use_l1) {
-    stats_.cache_misses++;
-    selection_cache_[key] = CachedSelection{
-        pred, rel.ValueOrDie(), rel.ValueOrDie()->ApproxBytes()};
-  }
-  return rel;
+  // Selections over per-query intermediates (post factor-fusion
+  // relations) land here too: unhittable across queries, but sibling
+  // branches of one u-trace share the fused pointer and do reuse them;
+  // cold entries age out through the LRU.
+  //
+  // Keyed purely by input identity (the pinned input pointer cannot
+  // recycle while its entry lives) — never by catalog address: the
+  // engine's catalog is a per-evaluation snapshot whose stack/heap
+  // address means nothing across queries. A delta replacing a relation
+  // changes the downstream input pointers, so stale entries are
+  // unreachable by construction.
+  return LookupOperator(input, pred.CacheHash(), pred.ToString(), compute);
 }
 
 Result<RelationPtr> OSharingEngine::MaterializeScan(
     const std::string& relation, const std::string& scan_alias) {
-  auto it = scan_cache_.find(scan_alias);
-  if (it != scan_cache_.end()) {
-    // The scan memo itself always runs, but its reuse is reported
-    // through the cache counters only when the operator-cache feature
-    // is on — enable_operator_cache=false must keep them at zero (the
-    // ablation contract, see OperatorCacheDoesNotChangeAnswers).
-    if (options_.enable_operator_cache) {
-      stats_.cache_hits++;
-      stats_.cache_bytes_saved += it->second.bytes;
-    }
-    return it->second.rel;
-  }
-
   auto compute = [&]() -> Result<RelationPtr> {
     algebra::EvalContext ctx;
     ctx.catalog = &catalog_;
     ctx.stats = &stats_;
     return algebra::Evaluate(algebra::MakeScan(relation, scan_alias), ctx);
   };
-
-  if (options_.store != nullptr && options_.enable_operator_cache) {
-    // Scans share cross-query through the store too — and because a
-    // store hit returns the *same* RelationPtr every query saw, the
-    // downstream selection keys (input pointer + predicate hash) also
-    // match across queries, compounding the sharing.
-    //
-    // The key carries the *base catalog relation's* identity (pointer,
-    // pinned by the entry), not the catalog's address: catalogs are
-    // per-evaluation snapshots sharing RelationPtrs, so an unchanged
-    // relation hits across snapshots while a delta-replaced one
-    // misses — and FenceRelations reclaims the replaced entries.
-    auto base = catalog_.Get(relation);
-    if (!base.ok()) return base.status();
-    std::string render = "scan|" + relation + "|" + scan_alias;
-    OperatorKey store_key;
-    store_key.catalog = nullptr;
-    store_key.epoch = options_.store_epoch;
-    store_key.shard_epoch = options_.store_shard_epoch;
-    store_key.input = base.ValueOrDie().get();
-    store_key.op_hash = HashOperatorRender(render);
-    bool shared = false;
-    size_t bytes = 0;
-    auto rel = options_.store->GetOrCompute(store_key, render,
-                                            base.ValueOrDie(), compute,
-                                            &shared, &bytes);
-    if (!rel.ok()) return rel;
-    RecordStoreOutcome(shared, bytes);
-    scan_cache_.emplace(scan_alias, CachedScan{rel.ValueOrDie(), bytes});
-    return rel;
-  }
-
-  auto rel = compute();
-  if (!rel.ok()) return rel;
-  if (options_.enable_operator_cache) stats_.cache_misses++;
-  scan_cache_.emplace(scan_alias,
-                      CachedScan{rel.ValueOrDie(),
-                                 rel.ValueOrDie()->ApproxBytes()});
-  return rel;
+  // Because a store hit returns the *same* RelationPtr every query saw,
+  // the downstream selection keys (input pointer + predicate hash) also
+  // match across queries, compounding the sharing.
+  //
+  // The key carries the *base catalog relation's* identity (pointer,
+  // pinned by the entry), not the catalog's address: catalogs are
+  // per-evaluation snapshots sharing RelationPtrs, so an unchanged
+  // relation hits across snapshots while a delta-replaced one misses —
+  // and FenceRelations reclaims the replaced entries.
+  auto base = catalog_.Get(relation);
+  if (!base.ok()) return base.status();
+  std::string render = "scan|" + relation + "|" + scan_alias;
+  return LookupOperator(base.ValueOrDie(), HashOperatorRender(render),
+                        render, compute);
 }
 
-void OSharingEngine::RecordStoreOutcome(bool shared, size_t bytes) {
+Result<RelationPtr> OSharingEngine::LookupOperator(
+    const RelationPtr& input, uint64_t op_hash, const std::string& render,
+    const OperatorStore::Compute& compute) {
+  OperatorKey key;
+  key.epoch = options_.store_epoch;
+  key.shard_epoch = options_.store_shard_epoch;
+  key.input = input.get();
+  key.op_hash = op_hash;
+  bool shared = false;
+  size_t bytes = 0;
+  auto rel = options_.store->GetOrCompute(key, render, input, compute,
+                                          &shared, &bytes);
+  if (!rel.ok()) return rel;
   if (shared) {
     stats_.cache_hits++;
-    stats_.store_hits++;
     stats_.cache_bytes_saved += bytes;
   } else {
     stats_.cache_misses++;
   }
+  return rel;
 }
 
 std::vector<OSharingEngine::Candidate> OSharingEngine::ComputeCandidates(

@@ -1,13 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "algebra/evaluate.h"
-#include "common/hash_util.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -44,12 +43,6 @@ struct OSharingOptions {
   /// probability-mass order; the top-k algorithm relies on this to
   /// tighten its bounds early. Plain o-sharing is order-insensitive.
   bool visit_partitions_by_probability = false;
-  /// Memoize per-(input relation, reformulated predicate) selection
-  /// results across u-trace branches. Sibling branches re-execute the
-  /// same source operator when the splitting operator did not touch
-  /// its input — the paper's §IX "data structures to facilitate
-  /// o-sharing evaluation". See bench_ablation for the effect.
-  bool enable_operator_cache = true;
   /// Fan u-trace mapping partitions out to `pool` when parallelism > 1
   /// (each subtree is independent by construction — the partitions
   /// disagree on the chosen operator's correspondences, so no e-unit
@@ -71,12 +64,14 @@ struct OSharingOptions {
   /// sequentially on the branch that owns them (spawn overhead would
   /// dominate).
   size_t parallel_grain = 16;
-  /// Cross-evaluation memo of materialized selections and scans (see
-  /// operator_store.h), shared by all engine clones of one parallel
-  /// evaluation and — when the serving tier owns it — by concurrent
-  /// queries over the same catalog. When null, RunParallel creates a
-  /// store scoped to the one evaluation so sibling branches still
-  /// share; Run (sequential) uses the private per-engine memo alone.
+  /// The memo of materialized selections and scans (see
+  /// operator_store.h) — the paper's §IX "data structures to
+  /// facilitate o-sharing evaluation". Sibling u-trace branches
+  /// re-execute the same source operator when the splitting operator
+  /// did not touch its input; every such repeat is served from here.
+  /// Shared by all engine clones of one parallel evaluation and — when
+  /// the serving tier owns it — by concurrent queries over the same
+  /// catalog. When null, the engine owns a store for its evaluation.
   OperatorStore* store = nullptr;
   /// Mapping epoch folded into every store key (Engine::mapping_epoch);
   /// stale entries are unreachable after a reconfiguration even before
@@ -154,9 +149,9 @@ class TeeVisitor : public LeafVisitor {
 /// \brief Executes the u-trace for one query over one source instance.
 ///
 /// Thread-safety: one engine instance is single-threaded (Init, then
-/// Run or RunParallel once; private memos and stats are unsynchronized
-/// by design). Concurrency comes from *clones*: RunParallel spawns one
-/// clone per fanned-out branch, and the serving tier runs independent
+/// Run or RunParallel once; stats are unsynchronized by design).
+/// Concurrency comes from *clones*: RunParallel spawns one clone per
+/// fanned-out branch, and the serving tier runs independent
 /// engines per query/shard — all sharing one OperatorStore, which is
 /// internally synchronized and epoch/shard-keyed (options.store_epoch,
 /// options.store_shard_epoch) so fenced or sibling-shard entries can
@@ -180,13 +175,12 @@ class OSharingEngine {
   /// fan and estimated work clear the OSharingOptions depth/grain
   /// cutoffs, so skewed partition trees load-balance instead of being
   /// bound by the largest root partition. Each spawned subtree executes
-  /// in its own engine clone; all clones share one OperatorStore
-  /// (options.store, or a store scoped to this call), so sibling
-  /// branches reuse selections the sequential trace would have
-  /// memoized. The visitor replays the buffered leaves in partition
-  /// order — the exact sequential leaf sequence for deterministic
-  /// strategies. A visitor abort stops the replay (already-computed
-  /// sibling branches are discarded).
+  /// in its own engine clone; all clones share this engine's
+  /// OperatorStore, so sibling branches reuse selections the sequential
+  /// trace would have memoized. The visitor replays the buffered leaves
+  /// in partition order — the exact sequential leaf sequence for
+  /// deterministic strategies. A visitor abort stops the replay
+  /// (already-computed sibling branches are discarded).
   Status RunParallel(const std::vector<baselines::WeightedMapping>& reps,
                      LeafVisitor* visitor, ThreadPool* pool);
 
@@ -258,69 +252,37 @@ class OSharingEngine {
   Status RunSubtreeParallel(const EUnit& u, int depth, ThreadPool* pool,
                             BufferingVisitor* out);
 
-  /// Memoized selection execution (see
-  /// OSharingOptions::enable_operator_cache / OSharingOptions::store).
+  /// Selection execution memoized in the store, keyed by input
+  /// relation identity and the predicate's structural hash
+  /// (Predicate::CacheHash); hits are verified against the rendered
+  /// predicate, so a hash collision degrades to a recompute, never a
+  /// wrong reuse.
   Result<relational::RelationPtr> RunSelection(
       const relational::RelationPtr& input, const algebra::Predicate& pred);
 
-  /// Memoized aliased base-relation scan.
+  /// Aliased base-relation scan memoized in the store.
   Result<relational::RelationPtr> MaterializeScan(
       const std::string& relation, const std::string& scan_alias);
 
-  /// Folds one shared-store lookup outcome into stats_ — the single
-  /// source of the hit/miss/bytes-saved accounting for RunSelection
-  /// and MaterializeScan.
-  void RecordStoreOutcome(bool shared, size_t bytes);
-
-  /// Private selection-memo key: input relation identity plus the
-  /// predicate's structural hash (Predicate::CacheHash). Lookups
-  /// compare the precomputed hash (and one pointer) instead of
-  /// rendering and string-comparing the predicate at every u-trace
-  /// level; the entry keeps the predicate to verify candidate hits
-  /// with operator==, so a hash collision degrades to a recompute,
-  /// never a wrong reuse — and the memo hot path never renders at all
-  /// (ToString runs only on the miss path that reaches the shared
-  /// store, whose cross-engine entries are render-verified).
-  struct SelectionKey {
-    const void* input = nullptr;
-    uint64_t pred_hash = 0;
-
-    bool operator==(const SelectionKey& other) const {
-      return input == other.input && pred_hash == other.pred_hash;
-    }
-  };
-  struct SelectionKeyHash {
-    size_t operator()(const SelectionKey& key) const {
-      size_t seed = static_cast<size_t>(key.pred_hash);
-      HashCombine(seed, std::hash<const void*>{}(key.input));
-      return seed;
-    }
-  };
-  struct CachedSelection {
-    algebra::Predicate pred;  ///< verified on hit (collision guard)
-    relational::RelationPtr rel;
-    size_t bytes = 0;  ///< ApproxBytes, measured once at insertion
-  };
-  struct CachedScan {
-    relational::RelationPtr rel;
-    size_t bytes = 0;  ///< ApproxBytes, measured once at insertion
-  };
+  /// Looks (input, op_hash) up in the store under this evaluation's
+  /// epochs, running `compute` on a miss, and folds the outcome into
+  /// stats_ — the single source of the key layout and of the
+  /// hit/miss/bytes-saved accounting for RunSelection and
+  /// MaterializeScan. `render` verifies hits against hash collisions.
+  Result<relational::RelationPtr> LookupOperator(
+      const relational::RelationPtr& input, uint64_t op_hash,
+      const std::string& render, const OperatorStore::Compute& compute);
 
   const reformulation::TargetQueryInfo& info_;
   const relational::Catalog& catalog_;
+  /// Backs options_.store when the caller passed none; clones made by
+  /// RunParallel copy options_ and so share it.
+  std::unique_ptr<OperatorStore> owned_store_;
   OSharingOptions options_;
   QueryShape shape_;
   algebra::EvalStats stats_;
   size_t leaves_ = 0;
   Rng rng_;
-  /// Private per-engine memo in front of the shared store (no locks;
-  /// hit => the exact RelationPtr previously returned on this branch).
-  std::unordered_map<SelectionKey, CachedSelection, SelectionKeyHash>
-      selection_cache_;
-  /// scan alias -> materialized (renamed) base relation. Reuse counts
-  /// toward the same EvalStats cache counters as selections, so the
-  /// reported operator hit rate covers both memo kinds.
-  std::unordered_map<std::string, CachedScan> scan_cache_;
 };
 
 }  // namespace osharing

@@ -15,12 +15,16 @@
 #include "relational/relation.h"
 
 /// \file operator_store.h
-/// The cross-evaluation operator memo the paper's §IX asks for ("data
-/// structures to facilitate o-sharing evaluation"), lifted out of a
-/// single OSharingEngine: a concurrent, sharded, byte-budgeted store of
-/// materialized selection results and aliased base-relation scans.
+/// The operator memo the paper's §IX asks for ("data structures to
+/// facilitate o-sharing evaluation"): a concurrent, sharded,
+/// byte-budgeted store of materialized selection results and aliased
+/// base-relation scans. It is the only operator memo of the u-trace:
+/// every OSharingEngine looks each selection and scan up here, in the
+/// caller's store or, when none is given, in one it owns.
 ///
 /// One store instance is shared by
+///   * every u-trace branch that repeats an operator its sibling
+///     already executed (sequential or parallel),
 ///   * every engine clone inside one parallel u-trace (RunParallel
 ///     branches reuse each other's selections instead of redoing work
 ///     the sequential trace would have memoized), and
@@ -31,9 +35,9 @@
 /// at the same time, one computes it and the other waits for that
 /// result instead of duplicating the work.
 ///
-/// Keys carry the catalog identity and the engine's mapping epoch —
-/// plus a shard-local epoch component when the evaluation runs over one
-/// shard of a sharded mapping set (see OperatorKey::shard_epoch);
+/// Keys carry the input relation's identity and the engine's mapping
+/// epoch — plus a shard-local epoch component when the evaluation runs
+/// over one shard of a sharded mapping set (see OperatorKey::shard_epoch);
 /// FenceEpoch drops every entry when the global epoch advances
 /// (UseTopMappings reconfigurations), so a stale materialization can
 /// never be returned, whether it was keyed whole-set or shard-local.
@@ -77,8 +81,7 @@ struct OperatorStoreStats {
 
 /// Identity of one materialized operator evaluation.
 struct OperatorKey {
-  const void* catalog = nullptr;  ///< owning catalog (store may be shared)
-  uint64_t epoch = 0;             ///< Engine::mapping_epoch at evaluation
+  uint64_t epoch = 0;  ///< Engine::mapping_epoch at evaluation
   /// Shard-local epoch component: 0 for whole-set evaluations; the
   /// owning shard's identity hash (mapping::MappingShard::hash) for
   /// sharded ones. The global `epoch` stays monotonic — it alone
@@ -98,16 +101,14 @@ struct OperatorKey {
   uint64_t op_hash = 0;
 
   bool operator==(const OperatorKey& other) const {
-    return catalog == other.catalog && epoch == other.epoch &&
-           shard_epoch == other.shard_epoch && input == other.input &&
-           op_hash == other.op_hash;
+    return epoch == other.epoch && shard_epoch == other.shard_epoch &&
+           input == other.input && op_hash == other.op_hash;
   }
 };
 
 struct OperatorKeyHash {
   size_t operator()(const OperatorKey& key) const {
     size_t seed = static_cast<size_t>(key.op_hash);
-    HashCombine(seed, std::hash<const void*>{}(key.catalog));
     HashCombine(seed, static_cast<size_t>(key.epoch));
     HashCombine(seed, static_cast<size_t>(key.shard_epoch));
     HashCombine(seed, std::hash<const void*>{}(key.input));

@@ -184,6 +184,13 @@ AnswerCacheOptions MakeCacheOptions(const ServiceOptions& options) {
   return cache;
 }
 
+osharing::OperatorStoreOptions MakeStoreOptions(
+    const ServiceOptions& options) {
+  osharing::OperatorStoreOptions store;
+  store.max_bytes = options.operator_store_bytes;
+  return store;
+}
+
 }  // namespace
 
 QueryService::QueryService(const core::Engine* engine,
@@ -191,15 +198,9 @@ QueryService::QueryService(const core::Engine* engine,
     : engine_(engine),
       options_(options),
       cache_(MakeCacheOptions(options)),
+      operator_store_(MakeStoreOptions(options)),
       pool_(options.num_threads) {
   URM_CHECK(engine != nullptr);
-  if (options_.share_operators) {
-    osharing::OperatorStoreOptions store_options;
-    store_options.max_bytes = options_.operator_store_bytes;
-    store_options.num_shards = options_.operator_store_shards;
-    operator_store_ =
-        std::make_unique<osharing::OperatorStore>(store_options);
-  }
   if (options_.enable_metrics) InitMetrics();
 }
 
@@ -321,50 +322,48 @@ void QueryService::InitMetrics() {
                 obs::MetricType::kGauge, base,
                 [this] { return static_cast<double>(cache_.stats().bytes); });
 
-  if (operator_store_ != nullptr) {
-    osharing::OperatorStore* store = operator_store_.get();
-    AddStatBridge(&m, "urm_operator_store_hits_total",
-                  "Materialized operators served from the shared store.",
-                  obs::MetricType::kCounter, base,
-                  [store] { return static_cast<double>(store->stats().hits); });
-    AddStatBridge(
-        &m, "urm_operator_store_misses_total",
-        "Operator lookups computed fresh.", obs::MetricType::kCounter,
-        base, [store] { return static_cast<double>(store->stats().misses); });
-    AddStatBridge(
-        &m, "urm_operator_store_evictions_total",
-        "Store entries dropped by the byte budget.",
-        obs::MetricType::kCounter, base,
-        [store] { return static_cast<double>(store->stats().evictions); });
-    AddStatBridge(&m, "urm_operator_store_single_flight_waits_total",
-                  "Hits that waited on an in-flight compute of the same "
-                  "operator.",
-                  obs::MetricType::kCounter, base, [store] {
-                    return static_cast<double>(
-                        store->stats().single_flight_waits);
-                  });
-    AddStatBridge(&m, "urm_operator_store_bytes_reused_total",
-                  "Result bytes served from the store instead of "
-                  "recomputed.",
-                  obs::MetricType::kCounter, base, [store] {
-                    return static_cast<double>(store->stats().bytes_reused);
-                  });
-    AddStatBridge(&m, "urm_operator_store_epoch_fences_total",
-                  "Mapping-set reconfiguration fences that cleared the "
-                  "store.",
-                  obs::MetricType::kCounter, base, [store] {
-                    return static_cast<double>(store->stats().epoch_fences);
-                  });
-    AddStatBridge(
-        &m, "urm_operator_store_entries",
-        "Materialized operators currently held.", obs::MetricType::kGauge,
-        base, [store] { return static_cast<double>(store->stats().entries); });
-    AddStatBridge(&m, "urm_operator_store_bytes",
-                  "Budget-weighted bytes currently held by the store "
-                  "(results plus pinned inputs).",
-                  obs::MetricType::kGauge, base,
-                  [store] { return static_cast<double>(store->stats().bytes); });
-  }
+  const osharing::OperatorStore* store = &operator_store_;
+  AddStatBridge(&m, "urm_operator_store_hits_total",
+                "Materialized operators served from the shared store.",
+                obs::MetricType::kCounter, base,
+                [store] { return static_cast<double>(store->stats().hits); });
+  AddStatBridge(
+      &m, "urm_operator_store_misses_total",
+      "Operator lookups computed fresh.", obs::MetricType::kCounter,
+      base, [store] { return static_cast<double>(store->stats().misses); });
+  AddStatBridge(
+      &m, "urm_operator_store_evictions_total",
+      "Store entries dropped by the byte budget.",
+      obs::MetricType::kCounter, base,
+      [store] { return static_cast<double>(store->stats().evictions); });
+  AddStatBridge(&m, "urm_operator_store_single_flight_waits_total",
+                "Hits that waited on an in-flight compute of the same "
+                "operator.",
+                obs::MetricType::kCounter, base, [store] {
+                  return static_cast<double>(
+                      store->stats().single_flight_waits);
+                });
+  AddStatBridge(&m, "urm_operator_store_bytes_reused_total",
+                "Result bytes served from the store instead of "
+                "recomputed.",
+                obs::MetricType::kCounter, base, [store] {
+                  return static_cast<double>(store->stats().bytes_reused);
+                });
+  AddStatBridge(&m, "urm_operator_store_epoch_fences_total",
+                "Mapping-set reconfiguration fences that cleared the "
+                "store.",
+                obs::MetricType::kCounter, base, [store] {
+                  return static_cast<double>(store->stats().epoch_fences);
+                });
+  AddStatBridge(
+      &m, "urm_operator_store_entries",
+      "Materialized operators currently held.", obs::MetricType::kGauge,
+      base, [store] { return static_cast<double>(store->stats().entries); });
+  AddStatBridge(&m, "urm_operator_store_bytes",
+                "Budget-weighted bytes currently held by the store "
+                "(results plus pinned inputs).",
+                obs::MetricType::kGauge, base,
+                [store] { return static_cast<double>(store->stats().bytes); });
 
   // Storage families: the compressed-catalog footprint (collect-time
   // reads of the engine catalog's encodings) plus the scan-byte
@@ -657,13 +656,11 @@ void QueryService::RunWork(const std::shared_ptr<Work>& work) {
     eval.sink = recording_sink.get();
   }
   if (metrics_ != nullptr) eval.shard_metrics = &metrics_->shard;
-  if (operator_store_ != nullptr) {
-    // Drop shared materializations from before a UseTopMappings
-    // reconfiguration (entries are also epoch-keyed; the fence just
-    // reclaims their memory promptly).
-    operator_store_->FenceEpoch(epoch);
-    eval.operator_store = operator_store_.get();
-  }
+  // Drop shared materializations from before a UseTopMappings
+  // reconfiguration (entries are also epoch-keyed; the fence just
+  // reclaims their memory promptly).
+  operator_store_.FenceEpoch(epoch);
+  eval.operator_store = &operator_store_;
   QueryResponse base;
   base.fingerprint = work->fingerprint;
   // An exception escaping the evaluation must not abandon the
@@ -766,12 +763,10 @@ FenceOutcome QueryService::FenceCatalogDelta(
     changed.push_back(Fnv1a(name));
   }
   outcome.answers = cache_.FenceRelations(changed, delta.data_epoch);
-  if (operator_store_ != nullptr) {
-    std::vector<const relational::Relation*> replaced;
-    replaced.reserve(delta.replaced.size());
-    for (const auto& rel : delta.replaced) replaced.push_back(rel.get());
-    outcome.operators = operator_store_->FenceRelations(replaced);
-  }
+  std::vector<const relational::Relation*> replaced;
+  replaced.reserve(delta.replaced.size());
+  for (const auto& rel : delta.replaced) replaced.push_back(rel.get());
+  outcome.operators = operator_store_.FenceRelations(replaced);
   return outcome;
 }
 

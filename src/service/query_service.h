@@ -89,16 +89,11 @@ struct ServiceOptions {
   /// streaming (sink-bearing) requests ignore sharding and evaluate in
   /// one pass.
   int mapping_shards = 1;
-  /// Share materialized o-sharing operators (selections + scans)
-  /// across all evaluations of this service through one
-  /// osharing::OperatorStore — concurrent and successive queries over
-  /// the same catalog reuse each other's work (paper §IX). Disable to
-  /// fall back to per-evaluation sharing only.
-  bool share_operators = true;
-  /// Operator-store byte budget (materialized relation bytes).
+  /// Byte budget of the service's osharing::OperatorStore, through
+  /// which all evaluations of this service share materialized o-sharing
+  /// operators (selections + scans) — concurrent and successive
+  /// queries over the same catalog reuse each other's work (paper §IX).
   size_t operator_store_bytes = 256ull << 20;
-  /// Operator-store concurrency shards (rounded up to a power of two).
-  size_t operator_store_shards = 16;
   /// Report serving-tier metrics — per-kind latency histograms,
   /// request outcomes, in-flight gauge, dedup joins, shard timing, and
   /// collect-time bridges for the cache / operator-store / pool stats
@@ -240,11 +235,9 @@ class QueryService {
   /// tasks, total executed) — see ThreadPool::stats.
   PoolStats pool_stats() const { return pool_.stats(); }
 
-  /// Counters of the shared operator store (zeroes when
-  /// share_operators is off).
+  /// Counters of the shared operator store.
   osharing::OperatorStoreStats operator_store_stats() const {
-    return operator_store_ != nullptr ? operator_store_->stats()
-                                      : osharing::OperatorStoreStats();
+    return operator_store_.stats();
   }
 
   const core::Engine& engine() const { return *engine_; }
@@ -296,8 +289,8 @@ class QueryService {
   AnswerCache cache_;
   /// Cross-query memo of materialized o-sharing operators, shared by
   /// every evaluation (and every parallel branch within one); fenced
-  /// on mapping-epoch changes. Null when share_operators is off.
-  std::unique_ptr<osharing::OperatorStore> operator_store_;
+  /// on mapping-epoch changes.
+  osharing::OperatorStore operator_store_;
   /// Pre-resolved instruments + registered stat bridges; null when
   /// enable_metrics is off. Declared before pool_ so in-flight
   /// evaluations can still report while the pool drains in ~pool_.

@@ -45,7 +45,6 @@ RelationPtr MakeIntRelation(std::vector<int64_t> ints) {
 
 OperatorKey KeyFor(uint64_t op_hash, const void* input = nullptr) {
   OperatorKey key;
-  key.catalog = reinterpret_cast<const void*>(0x1);
   key.epoch = 0;
   key.input = input;
   key.op_hash = op_hash;
@@ -368,11 +367,12 @@ TEST_F(StoreEngineTest, SharedStoreDoesNotChangeAnswersAndRecordsHits) {
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(baseline.ValueOrDie().answers.ApproxEquals(
       second.ValueOrDie().answers));
-  EXPECT_GT(second.ValueOrDie().stats.store_hits, 0u);
+  EXPECT_GT(second.ValueOrDie().stats.cache_hits,
+            first.ValueOrDie().stats.cache_hits);
   EXPECT_GT(store.stats().hits, 0u);
 }
 
-TEST_F(StoreEngineTest, ScopedStoreSharesAtReconfiguredEpoch) {
+TEST_F(StoreEngineTest, OwnedStoreSharesAtReconfiguredEpoch) {
   auto info = Analyze(Q2Paper());
   ThreadPool pool(4);
   OSharingOptions options;
@@ -381,13 +381,13 @@ TEST_F(StoreEngineTest, ScopedStoreSharesAtReconfiguredEpoch) {
   options.max_parallel_depth = 8;
   options.parallel_grain = 1;
   // As after a UseTopMappings reconfiguration: keys carry a nonzero
-  // epoch, ahead of the fresh evaluation-scoped store's fence (0).
+  // epoch, ahead of the fresh engine-owned store's fence (0).
   // Ahead-of-fence insertions must be kept, or sibling branches would
   // silently stop sharing after any reconfiguration.
   options.store_epoch = 3;
   auto result = RunOSharing(info, ex_.mappings, ex_.catalog, options);
   ASSERT_TRUE(result.ok());
-  EXPECT_GT(result.ValueOrDie().stats.store_hits, 0u);
+  EXPECT_GT(result.ValueOrDie().stats.cache_hits, 0u);
 }
 
 // ---------------------------------------------------------------------

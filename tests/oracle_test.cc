@@ -112,7 +112,9 @@ TEST(ValueOrderOracle, StrictWeakOrdering) {
   // Asymmetry and transitivity, brute force over all triples.
   for (const auto& a : pool) {
     for (const auto& b : pool) {
-      if (a < b) EXPECT_FALSE(b < a) << a.ToString() << " " << b.ToString();
+      if (a < b) {
+        EXPECT_FALSE(b < a) << a.ToString() << " " << b.ToString();
+      }
       for (const auto& c : pool) {
         if (a < b && b < c) {
           EXPECT_TRUE(a < c) << a.ToString() << " " << b.ToString() << " "

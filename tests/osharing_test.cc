@@ -172,9 +172,11 @@ TEST_F(OSharingTest, SharesOperatorsAcrossMappings) {
             basic.ValueOrDie().stats.operators_executed);
 }
 
-TEST_F(OSharingTest, OperatorCacheDoesNotChangeAnswers) {
-  // The cross-branch operator cache (our §IX extension) must be a pure
-  // optimization: identical answers with and without it.
+TEST_F(OSharingTest, OperatorStoreSharesAlikeWithOrWithoutCallerStore) {
+  // The OperatorStore is the one operator memo: an engine-owned store,
+  // a caller's store and a parallel trace whose clones share one store
+  // must reuse the same operators and give the same answers, bit for
+  // bit.
   PlanPtr p = MakeProduct(MakeScan("Person", "person"),
                           MakeScan("Order", "order"));
   p = MakeSelect(p,
@@ -182,15 +184,37 @@ TEST_F(OSharingTest, OperatorCacheDoesNotChangeAnswers) {
   p = MakeSelect(p,
                  Predicate::AttrCmpValue("person.phone", CmpOp::kEq, "123"));
   auto info = Analyze(p);
-  OSharingOptions with_cache, without_cache;
-  with_cache.enable_operator_cache = true;
-  without_cache.enable_operator_cache = false;
-  auto a = RunOSharing(info, ex_.mappings, ex_.catalog, with_cache);
-  auto b = RunOSharing(info, ex_.mappings, ex_.catalog, without_cache);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_TRUE(a.ValueOrDie().answers.ApproxEquals(
-      b.ValueOrDie().answers));
-  EXPECT_EQ(b.ValueOrDie().stats.cache_hits, 0u);
+
+  OSharingOptions owned;  // store == nullptr: the engine owns one
+  OperatorStore store;
+  OSharingOptions caller;
+  caller.store = &store;
+  ThreadPool pool(4);
+  OSharingOptions parallel;
+  parallel.parallelism = 4;
+  parallel.pool = &pool;
+  parallel.parallel_grain = 1;  // fan out even on the tiny fixture
+
+  auto a = RunOSharing(info, ex_.mappings, ex_.catalog, owned);
+  auto b = RunOSharing(info, ex_.mappings, ex_.catalog, caller);
+  auto c = RunOSharing(info, ex_.mappings, ex_.catalog, parallel);
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  const baselines::MethodResult& ra = a.ValueOrDie();
+  EXPECT_TRUE(Basic(info).answers.ApproxEquals(ra.answers));
+  EXPECT_GT(ra.stats.cache_hits, 0u);
+  for (const baselines::MethodResult* r : {&b.ValueOrDie(), &c.ValueOrDie()}) {
+    ASSERT_EQ(r->answers.size(), ra.answers.size());
+    EXPECT_EQ(r->answers.null_probability(), ra.answers.null_probability());
+    for (size_t i = 0; i < ra.answers.size(); ++i) {
+      const reformulation::AnswerTuple& x = ra.answers.tuples()[i];
+      const reformulation::AnswerTuple& y = r->answers.tuples()[i];
+      EXPECT_TRUE(x.values == y.values) << "row " << i;
+      EXPECT_EQ(x.probability, y.probability) << "row " << i;
+    }
+    EXPECT_EQ(r->stats.operators_executed, ra.stats.operators_executed);
+    EXPECT_EQ(r->stats.cache_hits, ra.stats.cache_hits);
+  }
+  EXPECT_EQ(store.stats().hits, ra.stats.cache_hits);
 }
 
 TEST_F(OSharingTest, StrategyNamesExposed) {

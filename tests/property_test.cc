@@ -190,7 +190,9 @@ TEST_P(MurtyProperties, RandomGraphsYieldSortedDistinctMatchings) {
   std::set<std::vector<std::pair<int, int>>> seen;
   for (size_t i = 0; i < ms.size(); ++i) {
     // Sorted by weight.
-    if (i > 0) EXPECT_LE(ms[i].weight, ms[i - 1].weight + 1e-9);
+    if (i > 0) {
+      EXPECT_LE(ms[i].weight, ms[i - 1].weight + 1e-9);
+    }
     // Distinct.
     EXPECT_TRUE(seen.insert(ms[i].edges).second);
     // One-to-one and within bounds.
@@ -296,7 +298,9 @@ TEST_P(GeneratorProperties, RandomCorrespondenceGraphs) {
   for (size_t i = 0; i < ms.size(); ++i) {
     EXPECT_GT(ms[i].size(), 0u);
     EXPECT_GE(ms[i].probability(), 0.0);
-    if (i > 0) EXPECT_LE(ms[i].score(), ms[i - 1].score() + 1e-9);
+    if (i > 0) {
+      EXPECT_LE(ms[i].score(), ms[i - 1].score() + 1e-9);
+    }
     for (size_t j = i + 1; j < ms.size(); ++j) {
       EXPECT_FALSE(ms[i].SamePairs(ms[j]));
     }

@@ -23,7 +23,9 @@ them.
 With --require-storage, additionally requires every urm_storage_*
 family of the columnar storage layer (docs/STORAGE.md) to expose at
 least one series — catalog encoding footprint, per-codec column
-counts, and the bytes-scanned / selection-scan counters.
+counts, and the bytes-scanned / selection-scan counters — and every
+urm_operator_store_* family of the o-sharing operator store, which
+every QueryService owns.
 
 With --require-ingest, additionally requires every urm_ingest_*
 family of the live-update subsystem (docs/LIVE.md) to expose at least
@@ -59,6 +61,14 @@ STORAGE_FAMILIES = (
     "urm_storage_bytes_scanned_total",
     "urm_storage_logical_bytes_scanned_total",
     "urm_storage_selection_scans_total",
+    "urm_operator_store_hits_total",
+    "urm_operator_store_misses_total",
+    "urm_operator_store_evictions_total",
+    "urm_operator_store_single_flight_waits_total",
+    "urm_operator_store_bytes_reused_total",
+    "urm_operator_store_epoch_fences_total",
+    "urm_operator_store_entries",
+    "urm_operator_store_bytes",
 )
 INGEST_FAMILIES = (
     "urm_ingest_batches_total",
